@@ -479,7 +479,7 @@ def _command_db_daemon(args) -> int:
         default_deadline_seconds=args.deadline,
         default_max_attempts=args.max_attempts,
     )
-    daemon.start()
+    daemon.start(handle_signals=True)
     # The readiness line scripts wait for before connecting.
     print(
         f"daemon listening on {format_address(daemon.address)} "

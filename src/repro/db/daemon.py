@@ -593,10 +593,16 @@ class ServingDaemon:
         self._threads: List[threading.Thread] = []
 
     # -- lifecycle -----------------------------------------------------
-    def start(self) -> "ServingDaemon":
+    def start(self, handle_signals: bool = False) -> "ServingDaemon":
         """Bind, prewarm, spawn the pool and all service threads.  After
         this returns the daemon is serving; :attr:`address` carries the
-        actually-bound address (TCP port 0 resolves here)."""
+        actually-bound address (TCP port 0 resolves here).
+
+        ``handle_signals`` makes SIGTERM/SIGINT request the drain.  The
+        handlers go in after the pool has forked (workers keep the default
+        SIGTERM disposition, which :meth:`ServingPool.close` relies on) and
+        before the listener binds, so no client can reach the daemon while
+        a signal would still kill it outright."""
         if self._pool is not None:
             raise DaemonError("daemon already started")
         # Fork the workers *before* spawning our own service threads:
@@ -604,6 +610,8 @@ class ServingDaemon:
         self._pool = ServingPool(self.store_path, workers=self.workers,
                                  trace=self._trace_recorder,
                                  **self.pool_options)
+        if handle_signals:
+            self._handle_signals()
         try:
             if self.queries:
                 from repro.db.database import Database
@@ -668,13 +676,16 @@ class ServingDaemon:
         SIGTERM/SIGINT (or a ``shutdown`` request) triggers the drain;
         returns the exit code for ``sys.exit``.  The CLI entry point."""
         if self._pool is None:
-            self.start()
-        if handle_signals:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                signal.signal(signum, lambda *_: self.request_shutdown())
+            self.start(handle_signals=handle_signals)
+        elif handle_signals:
+            self._handle_signals()
         while not self._stop_event.wait(_TICK_SECONDS):
             pass  # polling wait: robust to signal delivery edge cases
         return self._finish()
+
+    def _handle_signals(self) -> None:
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, lambda *_: self.request_shutdown())
 
     def _finish(self) -> int:
         """Tear-down, run by whichever thread called shutdown/serve_forever:

@@ -17,14 +17,17 @@ the work performed, which is what the Fig. 8 experiments measure.
 The execution plane is parallel and memory-bounded:
 
 * ``threads`` (per call, defaulting to the database's knob, defaulting to
-  the ``REPRO_DB_THREADS`` environment variable, defaulting to 1) runs the
-  per-subtree task DAG of a Yannakakis plan -- per-node expressions, both
-  semijoin passes, the join fold -- on a
-  :class:`~repro.db.scheduler.TaskScheduler` thread pool; independent
-  sibling subtrees execute concurrently and the big numpy kernels release
-  the GIL.  ``threads=1`` is the serial oracle path, byte-identical by
-  construction; the parallel path is pinned to it by the equivalence suite
-  (answers, row order, ``OperatorStats``).
+  the ``REPRO_DB_THREADS`` environment variable, defaulting to 1) sizes
+  the :class:`~repro.db.scheduler.TaskScheduler` that runs a Yannakakis
+  plan's per-subtree task DAG -- per-node expressions, both semijoin
+  passes, the join fold.  There is one execution path: at ``threads=1``
+  the scheduler runs the DAG inline in its canonical order, above that
+  independent sibling subtrees execute concurrently and the big numpy
+  kernels release the GIL.  Answers, row order, ``OperatorStats`` and
+  trace spans are the same at every thread count; the row engine
+  (``columnar=False``) is the semantic oracle.  Join-order plans scan
+  their atoms and fold them in one left-deep join, so they always run
+  inline.
 * ``memory_budget_bytes`` (same defaulting chain, env var
   ``REPRO_DB_MEMORY_BUDGET_BYTES``) caps each columnar kernel's transient
   index arrays: the probe/membership kernels of :mod:`repro.db.columnar`
@@ -55,7 +58,6 @@ from repro.db.plan_ir import (
     ScanNode,
     YannakakisNode,
     hypertree_plan_ir,
-    join_input_task_dag,
     join_order_plan_ir,
     scan_order,
     yannakakis_task_dag,
@@ -65,10 +67,9 @@ from repro.db.scheduler import TaskScheduler, resolve_threads
 from repro.obs.trace import TraceRecorder, obs_enabled, span_context
 from repro.db.yannakakis import (
     TreeQuery,
-    evaluate,
-    evaluate_boolean,
     fold_plan,
     fold_task_functions,
+    project_answer,
     reduction_task_functions,
 )
 from repro.decomposition.hypertree import HypertreeDecomposition
@@ -174,12 +175,12 @@ def execute_plan(
     see the module docstring.
 
     ``trace`` (a :class:`repro.obs.trace.TraceRecorder`) records one span
-    per plan node -- scans, joins, projections, Yannakakis phases, parallel
-    scheduler tasks -- tagged ``trace_id``, with morsel counts and emit
-    sizes in the span attrs.  Tracing is a write-only sidecar: answers,
-    row order and every ``OperatorStats`` counter are byte-identical with
-    it on or off (``REPRO_OBS=1`` forces a throwaway recorder to pin this
-    in whole-suite runs).
+    per plan node -- scans, joins, projections, Yannakakis tasks -- tagged
+    ``trace_id``, with morsel counts and emit sizes in the span attrs.
+    Tracing is a write-only sidecar: answers, row order and every
+    ``OperatorStats`` counter are byte-identical with it on or off
+    (``REPRO_OBS=1`` forces a throwaway recorder to pin this in
+    whole-suite runs).
     """
     threads = resolve_threads(threads, default=getattr(database, "threads", 1))
     if memory_budget_bytes is None:
@@ -187,7 +188,6 @@ def execute_plan(
     if memory_budget_bytes is not None and memory_budget_bytes <= 0:
         memory_budget_bytes = None
     chunk_rows = chunk_rows_for_budget(memory_budget_bytes)
-    scheduler = TaskScheduler(threads)
     if trace is None and obs_enabled():
         trace = TraceRecorder()
 
@@ -202,20 +202,6 @@ def execute_plan(
             bound[atom_name] = relation
         return relation
 
-    def fold_inputs(node: JoinNode, relations, needed=None) -> Relation:
-        """Join a JoinNode's already-evaluated inputs -- the single fold
-        implementation both the serial interpreter and the parallel root
-        path use, so the two can never drift apart."""
-        order = None
-        if node.smallest_first:
-            order = sorted(
-                range(len(relations)), key=lambda i: relations[i].cardinality
-            )
-        return join_all(
-            relations, stats=stats, order=order, needed=needed,
-            chunk_rows=chunk_rows, memory_budget_bytes=memory_budget_bytes,
-        )
-
     def run(node, needed=None) -> Relation:
         if isinstance(node, ScanNode):
             with span_context(
@@ -229,7 +215,16 @@ def execute_plan(
             with span_context(
                 trace, "join", "plan", trace_id, inputs=len(inputs)
             ) as span:
-                relation = fold_inputs(node, inputs, needed)
+                order = None
+                if node.smallest_first:
+                    order = sorted(
+                        range(len(inputs)), key=lambda i: inputs[i].cardinality
+                    )
+                relation = join_all(
+                    inputs, stats=stats, order=order, needed=needed,
+                    chunk_rows=chunk_rows,
+                    memory_budget_bytes=memory_budget_bytes,
+                )
                 span.attrs["rows"] = relation.cardinality
             return relation
         if isinstance(node, ProjectNode):
@@ -252,58 +247,18 @@ def execute_plan(
             return relation
         raise DatabaseError(f"unknown plan node: {node!r}")
 
-    wrap = None
-    if trace is not None:
-        def wrap(key, fn, _trace=trace, _trace_id=trace_id):
-            def traced_task() -> None:
-                with _trace.span(
-                    f"{key[0]}:{key[1]}", category="task", trace_id=_trace_id
-                ):
-                    fn()
-            return traced_task
-
     root = plan.root
     if isinstance(root, YannakakisNode):
-        if scheduler.parallel:
-            return _execute_yannakakis_parallel(
-                root, scan, run, stats, scheduler, chunk_rows,
-                memory_budget_bytes, wrap=wrap,
-            )
-        relations = {}
-        for node_id, expr in root.expressions:
-            with span_context(
-                trace, f"expr:{node_id}", "yannakakis", trace_id
-            ) as span:
-                relations[node_id] = run(expr)
-                span.attrs["rows"] = relations[node_id].cardinality
-        tree = TreeQuery(
-            root=root.root,
-            children={node_id: kids for node_id, kids in root.children},
-            relations=relations,
+        for atom_name in scan_order(root):
+            scan(atom_name)  # serial pre-bind: dictionary interning stays ordered
+        return _execute_yannakakis(
+            root, run, stats, threads, chunk_rows, memory_budget_bytes,
+            trace, trace_id,
         )
-        if root.boolean:
-            answer = evaluate_boolean(
-                tree, stats=stats, chunk_rows=chunk_rows,
-                trace=trace, trace_id=trace_id,
-            )
-            return ExecutionResult(relation=None, boolean=answer, stats=stats)
-        result = evaluate(
-            tree, list(root.output_variables), stats=stats, chunk_rows=chunk_rows,
-            memory_budget_bytes=memory_budget_bytes,
-            trace=trace, trace_id=trace_id,
-        )
-        return ExecutionResult(relation=result, boolean=None, stats=stats)
 
     # A Boolean plan only needs the root cardinality, so the top-level join
     # may drop every column that no longer feeds a join key.
-    needed = frozenset() if plan.boolean else None
-    if scheduler.parallel:
-        result = _run_root_parallel(
-            root, scan, run, fold_inputs, stats, scheduler, chunk_rows, needed,
-            wrap=wrap,
-        )
-    else:
-        result = run(root, needed=needed)
+    result = run(root, needed=frozenset() if plan.boolean else None)
     if plan.boolean:
         return ExecutionResult(
             relation=None, boolean=result.cardinality > 0, stats=stats
@@ -311,64 +266,21 @@ def execute_plan(
     return ExecutionResult(relation=result, boolean=None, stats=stats)
 
 
-def _run_root_parallel(
-    node, scan, run, fold_inputs, stats, scheduler: TaskScheduler, chunk_rows,
-    needed=None, wrap=None,
-) -> Relation:
-    """Evaluate a Join/Project plan root with the top join's inputs as
-    concurrent tasks; the join fold itself is the serial interpreter's
-    ``fold_inputs``, so the result (and every counter) matches it."""
-    for atom_name in scan_order(node):
-        scan(atom_name)  # serial pre-bind: dictionary interning stays ordered
-    if isinstance(node, ProjectNode):
-        inner = _run_root_parallel(
-            node.input, scan, run, fold_inputs, stats, scheduler, chunk_rows,
-            needed=frozenset(node.attributes), wrap=wrap,
-        )
-        return project(
-            inner,
-            list(node.attributes),
-            stats=stats,
-            name=node.name,
-            distinct=node.distinct,
-            chunk_rows=chunk_rows,
-        )
-    if isinstance(node, JoinNode) and len(node.inputs) > 1:
-        results: list = [None] * len(node.inputs)
-        specs = join_input_task_dag(node)
-
-        def input_task(index, child):
-            def evaluate_input() -> None:
-                results[index] = run(child)
-            return evaluate_input
-
-        scheduler.run(
-            [
-                (spec.key, spec.deps, input_task(index, child))
-                for index, (spec, child) in enumerate(zip(specs, node.inputs))
-            ],
-            wrap=wrap,
-        )
-        return fold_inputs(node, results, needed)
-    return run(node, needed=needed)
-
-
-def _execute_yannakakis_parallel(
-    root: YannakakisNode, scan, run, stats, scheduler: TaskScheduler, chunk_rows,
-    memory_budget_bytes=None, wrap=None,
+def _execute_yannakakis(
+    root: YannakakisNode, run, stats, threads: int, chunk_rows,
+    memory_budget_bytes, trace, trace_id,
 ) -> ExecutionResult:
     """Run one Yannakakis plan as its per-subtree task DAG.
 
     Phase one executes expressions and both semijoin passes as one DAG
-    (independent sibling subtrees overlap freely); the join fold needs the
-    reduced tree's metadata (:func:`repro.db.yannakakis.fold_plan`), so it
-    runs as a second DAG.  Every task performs the identical kernel calls
-    of the serial path on the identical operands; determinism comes from
-    the dependency edges (each relation slot has exactly one writer per
-    pass) and the commutative ``OperatorStats`` counters.
+    (independent sibling subtrees overlap freely when ``threads > 1``);
+    the join fold needs the reduced tree's metadata
+    (:func:`repro.db.yannakakis.fold_plan`), so it runs as a second DAG.
+    Determinism comes from the dependency edges (each relation slot has
+    exactly one writer per pass) and the commutative ``OperatorStats``
+    counters, so every thread count gives the same answer, row order,
+    counters and spans.
     """
-    for atom_name in scan_order(root):
-        scan(atom_name)  # serial pre-bind: dictionary interning stays ordered
     children = {node_id: tuple(kids) for node_id, kids in root.children}
     # Pre-seed the mapping in canonical order: concurrent writes then
     # preserve this key order, keeping attribute collection deterministic.
@@ -377,10 +289,15 @@ def _execute_yannakakis_parallel(
     }
     tree = TreeQuery(root=root.root, children=children, relations=relations)
     specs = yannakakis_task_dag(root)
+    scheduler = TaskScheduler(threads)
 
     def expression_task(node_id, expression):
         def evaluate_expression() -> None:
-            relations[node_id] = run(expression)
+            with span_context(
+                trace, f"expr:{node_id}", "yannakakis", trace_id
+            ) as span:
+                relations[node_id] = run(expression)
+                span.attrs["rows"] = relations[node_id].cardinality
         return evaluate_expression
 
     functions = {
@@ -390,12 +307,11 @@ def _execute_yannakakis_parallel(
     functions.update(
         reduction_task_functions(
             tree, relations, stats=stats, full=not root.boolean,
-            chunk_rows=chunk_rows,
+            chunk_rows=chunk_rows, trace=trace, trace_id=trace_id,
         )
     )
-    reduction_specs = [spec for spec in specs if spec.key[0] != "fold"]
     scheduler.run(
-        [(s.key, s.deps, functions[s.key]) for s in reduction_specs], wrap=wrap
+        [(s.key, s.deps, functions[s.key]) for s in specs if s.key[0] != "fold"]
     )
 
     if root.boolean:
@@ -404,18 +320,16 @@ def _execute_yannakakis_parallel(
 
     plan = fold_plan(tree, list(root.output_variables))
     folded = dict(relations)
-    fold_functions = fold_task_functions(
+    functions = fold_task_functions(
         tree, folded, plan, stats=stats, chunk_rows=chunk_rows,
-        memory_budget_bytes=memory_budget_bytes,
+        memory_budget_bytes=memory_budget_bytes, trace=trace, trace_id=trace_id,
     )
-    fold_specs = [spec for spec in specs if spec.key[0] == "fold"]
     scheduler.run(
-        [(s.key, s.deps, fold_functions[s.key]) for s in fold_specs], wrap=wrap
+        [(s.key, s.deps, functions[s.key]) for s in specs if s.key[0] == "fold"]
     )
-
-    result = project(
-        folded[root.root], plan.wanted, stats=stats, name="answer",
-        chunk_rows=chunk_rows,
+    result = project_answer(
+        folded[root.root], plan, stats=stats, chunk_rows=chunk_rows,
+        trace=trace, trace_id=trace_id,
     )
     return ExecutionResult(relation=result, boolean=None, stats=stats)
 

@@ -26,13 +26,12 @@ reproduce, operator for operator, the exact sequences the historical
 
 Task extraction
 ---------------
-For the parallel execution plane, :func:`yannakakis_task_dag` walks a
-:class:`YannakakisNode` into the dependency DAG of its per-subtree tasks
-(expression evaluation, both semijoin passes, the join fold) and
-:func:`join_input_task_dag` does the same for the independent inputs of a
-:class:`JoinNode`.  The specs carry keys and dependencies only -- the
-executor supplies the callables -- and are emitted in the serial engine's
-canonical order, so running them in list order *is* the serial execution.
+:func:`yannakakis_task_dag` walks a :class:`YannakakisNode` into the
+dependency DAG of its per-subtree tasks (expression evaluation, both
+semijoin passes, the join fold), which the executor runs at every thread
+count.  The specs carry keys and dependencies only -- the executor
+supplies the callables -- and are emitted in a canonical topological
+order, which is the order the single-threaded scheduler runs them in.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
+from repro.db.yannakakis import TreeQuery
 from repro.exceptions import DatabaseError
 from repro.query.conjunctive import ConjunctiveQuery, is_fresh_variable
 
@@ -134,7 +134,7 @@ class QueryPlanIR:
 
 
 # ----------------------------------------------------------------------
-# Task extraction: the dependency DAG of the parallel execution plane.
+# Task extraction: the dependency DAG of a Yannakakis execution.
 # ----------------------------------------------------------------------
 
 
@@ -144,27 +144,6 @@ class TaskSpec:
 
     key: Tuple[str, object]
     deps: Tuple[Tuple[str, object], ...]
-
-
-def _tree_orders(node: YannakakisNode):
-    """BFS and post-order node id sequences of a YannakakisNode's tree."""
-    children = {node_id: tuple(kids) for node_id, kids in node.children}
-    bfs = [node.root]
-    i = 0
-    while i < len(bfs):
-        bfs.extend(children.get(bfs[i], ()))
-        i += 1
-    post: list = []
-    stack = [(node.root, False)]
-    while stack:
-        current, expanded = stack.pop()
-        if expanded:
-            post.append(current)
-            continue
-        stack.append((current, True))
-        for kid in reversed(children.get(current, ())):
-            stack.append((kid, False))
-    return children, tuple(bfs), tuple(post)
 
 
 def yannakakis_task_dag(node: YannakakisNode) -> Tuple[TaskSpec, ...]:
@@ -184,11 +163,14 @@ def yannakakis_task_dag(node: YannakakisNode) -> Tuple[TaskSpec, ...]:
 
     Sibling subtrees share no dependency, which is exactly the parallelism
     the selection-vector representation makes safe.  Specs are emitted in
-    the serial engine's evaluation order (expressions, bottom-up post-order,
-    top-down BFS, fold post-order), so inline execution in list order
-    reproduces the serial run.
+    canonical order (expressions, bottom-up post-order, top-down BFS, fold
+    post-order), the key order of
+    :func:`repro.db.yannakakis.reduction_task_functions` and
+    :func:`repro.db.yannakakis.fold_task_functions`.
     """
-    children, bfs, post = _tree_orders(node)
+    children = {node_id: tuple(kids) for node_id, kids in node.children}
+    tree = TreeQuery(root=node.root, children=children, relations={})
+    bfs, post = tree.node_ids(), tree.post_order()
 
     def final(node_id) -> Tuple[str, object]:
         """The task after which a node's reduced relation is final."""
@@ -215,17 +197,10 @@ def yannakakis_task_dag(node: YannakakisNode) -> Tuple[TaskSpec, ...]:
     return tuple(specs)
 
 
-def join_input_task_dag(node: JoinNode) -> Tuple[TaskSpec, ...]:
-    """The (trivially independent) tasks of a JoinNode's inputs: each input
-    subplan may be evaluated concurrently; the join itself then folds the
-    results in canonical order."""
-    return tuple(TaskSpec(("input", i), ()) for i in range(len(node.inputs)))
-
-
 def scan_order(node: PlanNode) -> Tuple[str, ...]:
     """Every atom name scanned under ``node``, in first-use order of the
-    serial interpreter.  The parallel executor binds atoms in exactly this
-    order *before* spawning tasks: binding may intern fresh-variable
+    inline interpreter.  The Yannakakis executor binds atoms in exactly
+    this order *before* running tasks: binding may intern fresh-variable
     surrogates into the database's shared dictionary, which must stay
     single-threaded and deterministic."""
     seen: list = []
@@ -302,7 +277,7 @@ def join_order_plan_ir(
     unknown = [n for n in names if n not in atom_names]
     if unknown:
         raise DatabaseError(f"unknown atoms in join order: {unknown}")
-    if set(names) != atom_names:
+    if len(names) != len(atom_names) or set(names) != atom_names:
         raise DatabaseError("join order must mention every atom exactly once")
     joined = JoinNode(tuple(ScanNode(n) for n in names))
     if query.is_boolean:

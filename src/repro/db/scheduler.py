@@ -1,14 +1,14 @@
-"""A dependency-DAG task scheduler for the parallel execution plane.
+"""A dependency-DAG task scheduler for the execution plane.
 
-The parallel Yannakakis executor (:mod:`repro.db.executor`) decomposes a
+The Yannakakis executor (:mod:`repro.db.executor`) decomposes every
 plan into *tasks* -- per-decomposition-node expression evaluations,
 per-subtree semijoin reductions, per-subtree join folds -- whose data
 dependencies form a DAG (see :func:`repro.db.plan_ir.yannakakis_task_dag`).
 This module runs such a DAG:
 
 * with ``threads == 1`` every task executes inline, in the submission
-  order, which by construction is the serial engine's canonical order --
-  the scheduler adds nothing but a function call;
+  order, which by construction is the DAG's canonical order -- the
+  scheduler adds nothing but a function call;
 * with ``threads > 1`` tasks run on a ``ThreadPoolExecutor``: a task is
   submitted as soon as all of its dependencies completed, so independent
   sibling subtrees execute concurrently.  The big columnar kernels
@@ -19,13 +19,13 @@ Determinism: tasks communicate only through per-node slots each task owns
 exclusively (the dependency edges serialise every read-after-write), and
 the shared :class:`~repro.db.algebra.OperatorStats` accumulator is
 thread-safe with purely commutative counters -- so answers, row orderings
-and work counters are identical to the serial run regardless of the
+and work counters are identical to the inline run regardless of the
 interleaving.  Exceptions (including the evaluation-budget watchdog)
 propagate to the caller under the **first-error contract**: once any task
 fails, no further task is started (queued-but-unstarted futures are
 cancelled), already-running tasks are drained, and the error surfaced is
 that of the failing task with the *earliest submission order* -- i.e. the
-same task whose error the serial run would have raised first among the
+same task whose error the inline run would have raised first among the
 tasks that actually failed.  Which error a caller sees is therefore
 independent of thread timing.  The multi-process serving pool
 (:mod:`repro.db.serving`) honours the same contract for a worker process
@@ -45,7 +45,7 @@ Task = Tuple[Hashable, Tuple[Hashable, ...], Callable[[], None]]
 def resolve_threads(threads=None, default: int = 1) -> int:
     """Normalise a thread-count knob: ``None`` falls back to ``default``
     (itself usually the ``REPRO_DB_THREADS`` environment default), anything
-    below one is clamped to one (the serial path)."""
+    below one is clamped to one (inline execution)."""
     if threads is None:
         threads = default
     return max(1, int(threads))
@@ -114,33 +114,26 @@ class TaskScheduler:
     def parallel(self) -> bool:
         return self.threads > 1
 
-    def run(self, tasks: Sequence[Task], wrap=None) -> None:
+    def run(self, tasks: Sequence[Task]) -> None:
         """Execute every ``(key, deps, fn)`` task respecting dependencies.
 
         ``tasks`` must be topologically ordered (dependencies listed before
-        dependents), which is how every extractor emits them -- the serial
+        dependents), which is how every extractor emits them -- the inline
         path can then simply execute in list order.
-
-        ``wrap`` is the observability hook: ``wrap(key, fn)`` returns the
-        callable actually executed (the executor uses it to open a trace
-        span per task).  It must be a pure decoration -- ordering,
-        dependency resolution and the first-error contract are unchanged.
         """
         if not self.parallel:
-            for key, _, fn in tasks:
-                (fn if wrap is None else wrap(key, fn))()
+            for _, _, fn in tasks:
+                fn()
             return
-        self._run_threaded(tasks, wrap)
+        self._run_threaded(tasks)
 
-    def _run_threaded(self, tasks: Sequence[Task], wrap=None) -> None:
+    def _run_threaded(self, tasks: Sequence[Task]) -> None:
         keys = {key for key, _, _ in tasks}
         if len(keys) != len(tasks):
             raise ValueError("duplicate task keys in DAG")
         pending = {key: {d for d in deps if d in keys} for key, deps, _ in tasks}
-        functions = {
-            key: (fn if wrap is None else wrap(key, fn)) for key, _, fn in tasks
-        }
-        # Tasks arrive in the serial engine's canonical order; the list
+        functions = {key: fn for key, _, fn in tasks}
+        # Tasks arrive in their canonical (inline) order; the list
         # index below makes the first-error choice deterministic.
         order = {key: index for index, (key, _, _) in enumerate(tasks)}
         dependents: dict = {}
@@ -180,7 +173,7 @@ class TaskScheduler:
                         futures[pool.submit(functions[key])] = key
         if errors:
             # Among the tasks that actually failed, surface the one the
-            # serial run would have reached first -- deterministic no matter
+            # inline run would have reached first -- deterministic no matter
             # which future happened to complete first.
             raise errors[min(errors)]
         if completed != len(tasks):

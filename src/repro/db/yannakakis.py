@@ -23,14 +23,16 @@ what each node holds.
 
 Both semijoin passes and the join pass are *per-subtree parallel*: sibling
 subtrees never read each other's relations, only parent/child pairs do.
-:func:`reduction_task_functions` and :func:`fold_task_functions` expose
-each pass as a dictionary of per-node task callables keyed exactly like the
-dependency DAG of :func:`repro.db.plan_ir.yannakakis_task_dag`; the
-parallel executor zips the two and runs them on a
-:class:`~repro.db.scheduler.TaskScheduler`.  The serial loops below stay
-the oracle: every task performs the same operator calls on the same
-operands in the same per-node order, so answers and ``OperatorStats`` are
-identical (the counters commute; see :class:`~repro.db.algebra.OperatorStats`).
+:func:`reduction_task_functions` and :func:`fold_task_functions` are the
+one implementation of the passes: dictionaries of per-node task callables
+keyed exactly like the dependency DAG of
+:func:`repro.db.plan_ir.yannakakis_task_dag`.  The executor runs them on a
+:class:`~repro.db.scheduler.TaskScheduler` at every thread count; the
+public drivers :func:`semijoin_reduce`, :func:`evaluate_boolean` and
+:func:`evaluate` run them inline in their canonical order.  Answers and
+``OperatorStats`` do not depend on the interleaving (each slot has one
+writer per pass and the counters commute; see
+:class:`~repro.db.algebra.OperatorStats`).
 """
 
 from __future__ import annotations
@@ -98,39 +100,17 @@ def semijoin_reduce(
     ``full`` is true (it is not needed for Boolean queries).  Returns a new
     :class:`TreeQuery` with reduced relations.  ``chunk_rows`` bounds the
     columnar semijoin kernels' transient memory (results unchanged).
-    ``trace`` records one span per reduced node (``up:<node>`` /
-    ``down:<node>``, matching the parallel task keys) without changing any
-    operator call.
+    Runs :func:`reduction_task_functions` inline in their canonical order;
+    ``trace`` records their ``up:<node>`` / ``down:<node>`` spans.
     """
     tree.validate()
     relations = dict(tree.relations)
-
-    # Bottom-up: parent ⋉ child, children first.
-    for node in tree.post_order():
-        kids = tree.children.get(node, ())
-        if not kids:
-            continue
-        with span_context(trace, f"up:{node}", "yannakakis", trace_id) as span:
-            for child in kids:
-                relations[node] = semijoin(
-                    relations[node], relations[child], stats=stats,
-                    chunk_rows=chunk_rows,
-                )
-            span.attrs["rows"] = relations[node].cardinality
-
-    if full:
-        # Top-down: child ⋉ parent, parents first.
-        for node in tree.node_ids():
-            for child in tree.children.get(node, ()):
-                with span_context(
-                    trace, f"down:{child}", "yannakakis", trace_id
-                ) as span:
-                    relations[child] = semijoin(
-                        relations[child], relations[node], stats=stats,
-                        chunk_rows=chunk_rows,
-                    )
-                    span.attrs["rows"] = relations[child].cardinality
-
+    tasks = reduction_task_functions(
+        tree, relations, stats=stats, full=full, chunk_rows=chunk_rows,
+        trace=trace, trace_id=trace_id,
+    )
+    for task in tasks.values():
+        task()
     return TreeQuery(root=tree.root, children=dict(tree.children), relations=relations)
 
 
@@ -156,16 +136,14 @@ class FoldPlan:
 
     Computed once from the (reduced) tree -- semijoins never change a
     relation's attributes, so everything here is known before any join
-    runs: ``wanted`` the output attributes, ``parent`` the child->parent
-    map, and ``keeps[v]`` the projection list applied to the folded subtree
-    of ``v`` before it is joined into its parent (output variables plus the
-    variables still needed higher up, the discipline that makes Yannakakis
-    output-polynomial).  Both the serial fold loop and the per-subtree fold
-    tasks consume the same plan, which is what keeps them byte-identical.
+    runs: ``wanted`` the output attributes and ``keeps[v]`` the projection
+    list applied to the folded subtree of ``v`` before it is joined into
+    its parent (output variables plus the variables still needed higher
+    up, the discipline that makes Yannakakis output-polynomial).  The
+    fold tasks only read it, so they may share it across threads.
     """
 
     wanted: List[str]
-    parent: Dict[object, object]
     keeps: Dict[object, List[str]]
 
 
@@ -181,11 +159,6 @@ def fold_plan(tree: TreeQuery, output_variables: Sequence[str]) -> FoldPlan:
                     seen.add(attribute)
                     wanted.append(attribute)
     wanted_set = set(wanted)
-
-    parent: Dict[object, object] = {tree.root: None}
-    for node in tree.node_ids():
-        for child in tree.children.get(node, ()):
-            parent[child] = node
 
     # ``above[v]``: attributes appearing outside the subtree rooted at ``v``
     # (of the *unfolded* node relations).  One bottom-up pass collects the
@@ -225,7 +198,7 @@ def fold_plan(tree: TreeQuery, output_variables: Sequence[str]) -> FoldPlan:
             keeps[node] = [
                 a for a in attrs if a in node_above or a in wanted_set
             ]
-    return FoldPlan(wanted=wanted, parent=parent, keeps=keeps)
+    return FoldPlan(wanted=wanted, keeps=keeps)
 
 
 def evaluate(
@@ -243,33 +216,41 @@ def evaluate(
     After full semijoin reduction, nodes are joined bottom-up; each
     intermediate result is projected onto the output variables plus the
     variables shared with the remaining (upper) part of the tree (the
-    precomputed :func:`fold_plan`).  ``trace`` records one ``fold:<node>``
-    span per contribution joined upward (matching the parallel task keys).
+    precomputed :func:`fold_plan`).  Runs :func:`fold_task_functions`
+    inline in their canonical order; ``trace`` records their
+    ``fold:<node>`` spans and the final ``project:answer``.
     """
     reduced = semijoin_reduce(
         tree, stats=stats, full=True, chunk_rows=chunk_rows,
         trace=trace, trace_id=trace_id,
     )
     plan = fold_plan(reduced, output_variables)
-
     folded = dict(reduced.relations)
-    for node in reduced.post_order():
-        if node == reduced.root:
-            continue
-        with span_context(trace, f"fold:{node}", "yannakakis", trace_id) as span:
-            contribution = project(
-                folded[node], plan.keeps[node], stats=stats, chunk_rows=chunk_rows
-            )
-            up = plan.parent[node]
-            folded[up] = natural_join(
-                folded[up], contribution, stats=stats, chunk_rows=chunk_rows,
-                memory_budget_bytes=memory_budget_bytes,
-            )
-            span.attrs["rows"] = folded[up].cardinality
+    tasks = fold_task_functions(
+        reduced, folded, plan, stats=stats, chunk_rows=chunk_rows,
+        memory_budget_bytes=memory_budget_bytes, trace=trace, trace_id=trace_id,
+    )
+    for task in tasks.values():
+        task()
+    return project_answer(
+        folded[reduced.root], plan, stats=stats, chunk_rows=chunk_rows,
+        trace=trace, trace_id=trace_id,
+    )
 
+
+def project_answer(
+    relation: Relation,
+    plan: FoldPlan,
+    stats: Optional[OperatorStats] = None,
+    chunk_rows: Optional[int] = None,
+    trace=None,
+    trace_id=None,
+) -> Relation:
+    """The last step of the join pass: project the folded root onto the
+    output attributes (one ``project:answer`` span)."""
     with span_context(trace, "project:answer", "yannakakis", trace_id) as span:
         answer = project(
-            folded[reduced.root], plan.wanted, stats=stats, name="answer",
+            relation, plan.wanted, stats=stats, name="answer",
             chunk_rows=chunk_rows,
         )
         span.attrs["rows"] = answer.cardinality
@@ -277,10 +258,11 @@ def evaluate(
 
 
 # ----------------------------------------------------------------------
-# Per-subtree task functions for the parallel executor.  Keys match the
-# dependency DAG of repro.db.plan_ir.yannakakis_task_dag; each task owns
-# the relation slot it writes and only reads slots its dependencies wrote,
-# so the scheduler's dependency edges serialise every read-after-write.
+# Per-subtree task functions: the only implementation of both passes.
+# Keys match the dependency DAG of repro.db.plan_ir.yannakakis_task_dag;
+# each task owns the relation slot it writes and only reads slots its
+# dependencies wrote, so the scheduler's dependency edges serialise every
+# read-after-write.  Dictionary order is the canonical (inline) order.
 # ----------------------------------------------------------------------
 
 
@@ -290,27 +272,37 @@ def reduction_task_functions(
     stats: Optional[OperatorStats] = None,
     full: bool = True,
     chunk_rows: Optional[int] = None,
+    trace=None,
+    trace_id=None,
 ) -> Dict[Tuple[str, object], Callable[[], None]]:
     """The semijoin passes as per-node tasks over a shared ``relations``
-    mapping: ``("up", v)`` semijoins ``v`` with each child (children order,
-    as the serial pass does), ``("down", c)`` semijoins ``c`` with its
-    already-final parent."""
+    mapping: ``("up", v)`` semijoins ``v`` with each child (children
+    order), ``("down", c)`` semijoins ``c`` with its already-final parent.
+    Each task that does work records one ``up:<v>`` / ``down:<c>`` span."""
 
     def up_task(node):
+        kids = tree.children.get(node, ())
+
         def run() -> None:
-            for child in tree.children.get(node, ()):
-                relations[node] = semijoin(
-                    relations[node], relations[child], stats=stats,
-                    chunk_rows=chunk_rows,
-                )
+            if not kids:
+                return
+            with span_context(trace, f"up:{node}", "yannakakis", trace_id) as span:
+                for child in kids:
+                    relations[node] = semijoin(
+                        relations[node], relations[child], stats=stats,
+                        chunk_rows=chunk_rows,
+                    )
+                span.attrs["rows"] = relations[node].cardinality
         return run
 
     def down_task(child, parent_id):
         def run() -> None:
-            relations[child] = semijoin(
-                relations[child], relations[parent_id], stats=stats,
-                chunk_rows=chunk_rows,
-            )
+            with span_context(trace, f"down:{child}", "yannakakis", trace_id) as span:
+                relations[child] = semijoin(
+                    relations[child], relations[parent_id], stats=stats,
+                    chunk_rows=chunk_rows,
+                )
+                span.attrs["rows"] = relations[child].cardinality
         return run
 
     functions: Dict[Tuple[str, object], Callable[[], None]] = {}
@@ -330,24 +322,31 @@ def fold_task_functions(
     stats: Optional[OperatorStats] = None,
     chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
+    trace=None,
+    trace_id=None,
 ) -> Dict[Tuple[str, object], Callable[[], None]]:
     """The join pass as per-subtree tasks: ``("fold", v)`` projects each
     child's completed fold onto its keep list and joins it into ``v``, in
-    children order -- the identical operator sequence the serial fold
-    applies at ``v``."""
+    children order.  Each inner node records one ``fold:<v>`` span."""
 
     def fold_task(node):
+        kids = tree.children.get(node, ())
+
         def run() -> None:
-            for child in tree.children.get(node, ()):
-                contribution = project(
-                    folded[child], plan.keeps[child], stats=stats,
-                    chunk_rows=chunk_rows,
-                )
-                folded[node] = natural_join(
-                    folded[node], contribution, stats=stats,
-                    chunk_rows=chunk_rows,
-                    memory_budget_bytes=memory_budget_bytes,
-                )
+            if not kids:
+                return
+            with span_context(trace, f"fold:{node}", "yannakakis", trace_id) as span:
+                for child in kids:
+                    contribution = project(
+                        folded[child], plan.keeps[child], stats=stats,
+                        chunk_rows=chunk_rows,
+                    )
+                    folded[node] = natural_join(
+                        folded[node], contribution, stats=stats,
+                        chunk_rows=chunk_rows,
+                        memory_budget_bytes=memory_budget_bytes,
+                    )
+                span.attrs["rows"] = folded[node].cardinality
         return run
 
     return {("fold", node): fold_task(node) for node in tree.post_order()}

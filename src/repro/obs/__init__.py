@@ -9,12 +9,12 @@ missing request-path view without disturbing them:
   per-request trace ids.  Span taxonomy by category:
 
   - ``planner``: ``plan:<query>`` around ``cost_k_decomp``'s timed search.
-  - ``plan`` / ``yannakakis`` / ``task``: executor spans -- one per plan
-    node (``scan:<atom>``, ``join``, ``project:<name>``,
-    ``expr:<node>``), per serial Yannakakis phase (``up:<node>``,
-    ``down:<node>``, ``fold:<node>``), and per parallel scheduler task
-    (``expr:/up:/down:/fold:/input:``), carrying morsel counts and emit
-    sizes in ``args``.
+  - ``plan`` / ``yannakakis``: executor spans -- one per plan node
+    (``scan:<atom>``, ``join``, ``project:<name>``) and one per
+    Yannakakis task (``expr:<node>``, ``up:<node>``, ``down:<node>``,
+    ``fold:<node>``) plus the final ``project:answer``, carrying morsel
+    counts and emit sizes in ``args``.  The same spans appear at every
+    thread count.
   - ``serving``: pool-side request phases -- ``admission`` (includes the
     admission-control wait/reject decision), ``queue`` (backlog time
     per attempt), ``attempt`` (dispatch to result, with worker id and

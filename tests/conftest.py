@@ -14,6 +14,12 @@ from repro.hypergraph.generators import (
 from repro.query.examples import q0, q1, q2, q3
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running end-to-end test (still tier-1)"
+    )
+
+
 @pytest.fixture
 def q0_hypergraph():
     """H(Q0): the paper's introductory 8-atom, width-2 hypergraph."""

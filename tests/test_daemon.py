@@ -129,6 +129,25 @@ def _spawn_daemon(store, tmp_path, **options):
     ).start()
 
 
+def _cli_daemon(store, sock):
+    """``repro db daemon`` over ``store`` in a subprocess on ``sock``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "db", "daemon", str(store),
+            "--address", f"unix:{sock}", "--workers", "2",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+        text=True,
+    )
+
+
 def _recv_frame(sock):
     """Read one raw frame off a plain socket (test-side decoder)."""
     header = b""
@@ -632,21 +651,7 @@ class TestDrain:
         with SIGTERM mid-flight, must drain, exit 0, unlink its socket
         and leave no orphan worker processes."""
         sock = tmp_path / "cli.sock"
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "db", "daemon", str(store),
-                "--address", f"unix:{sock}", "--workers", "2",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=env,
-            text=True,
-        )
+        process = _cli_daemon(store, sock)
         try:
             assert "listening" in process.stdout.readline()
             payload = _payload()
@@ -658,6 +663,37 @@ class TestDrain:
                 pids = client.health()["worker_pids"]
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=60) == 0
+            for pid in pids:
+                with pytest.raises(OSError):
+                    os.kill(pid, 0)
+            assert not sock.exists()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+
+    def test_cli_daemon_sigterm_right_after_first_health(self, store, tmp_path):
+        """SIGTERM the moment the daemon first answers ``health`` -- before
+        the readiness line is even read -- must still drain: the signal
+        handlers are in place before the listener binds."""
+        sock = tmp_path / "early.sock"
+        process = _cli_daemon(store, sock)
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    with DaemonClient(f"unix:{sock}") as client:
+                        pids = client.health()["worker_pids"]
+                        process.send_signal(signal.SIGTERM)
+                    break
+                except DaemonDisconnected:
+                    assert time.monotonic() < deadline, "daemon never answered"
+                    assert process.poll() is None
+                    time.sleep(0.002)
+            # No stdout read on failure: orphaned workers would hold the
+            # pipe open and hang the test instead of failing it.
+            assert process.wait(timeout=60) == 0
+            assert pids
             for pid in pids:
                 with pytest.raises(OSError):
                     os.kill(pid, 0)

@@ -17,6 +17,7 @@ admission / queue / attempt / kernel spans for every request.
 
 import json
 import threading
+from collections import Counter
 
 import pytest
 
@@ -362,15 +363,11 @@ class TestExecutorByteIdentity:
         spans = recorder.spans()
         assert spans and all(s.trace_id == "req-hyper" for s in spans)
         names = {s.name for s in spans}
-        if threads == 1:
-            # Serial oracle path: per-node Yannakakis spans.
-            assert any(n.startswith("up:") for n in names)
-            assert any(n.startswith("fold:") for n in names)
-            assert "project:answer" in names
-        else:
-            # Parallel path: the scheduler's wrapped task keys.
-            assert {s.category for s in spans} >= {"task"}
-            assert any(n.startswith("up:") for n in names)
+        # One execution path: the per-node Yannakakis spans at every
+        # thread count.
+        assert any(n.startswith("up:") for n in names)
+        assert any(n.startswith("fold:") for n in names)
+        assert "project:answer" in names
 
     @settings(
         max_examples=12,
@@ -389,11 +386,28 @@ class TestExecutorByteIdentity:
         _identical(traced, untraced)
         names = {s.name for s in recorder.spans()}
         assert any(n.startswith("scan:") for n in names)
-        if threads == 1:
-            assert "join" in names and "project:answer" in names
-        else:
-            # Parallel path: the scheduler's wrapped task keys.
-            assert {s.category for s in recorder.spans()} >= {"task"}
+        assert "join" in names and "project:answer" in names
+
+    @pytest.mark.parametrize("shape", ["hypertree", "baseline"])
+    def test_span_taxonomy_independent_of_threads(
+        self, database, hypertree_plan, shape
+    ):
+        from repro.planner.baseline import baseline_plan
+
+        plan = (
+            hypertree_plan if shape == "hypertree"
+            else baseline_plan(_query(), database.statistics)
+        )
+
+        def span_multiset(threads):
+            recorder = TraceRecorder()
+            plan.to_ir().execute(
+                database, budget=20_000_000, threads=threads, trace=recorder
+            )
+            return Counter((s.name, s.category) for s in recorder.spans())
+
+        serial = span_multiset(1)
+        assert serial and serial == span_multiset(4)
 
     def test_morsel_counters_appear_under_memory_budget(
         self, database, hypertree_plan

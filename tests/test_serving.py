@@ -28,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.db.database import Database
+from repro.db.plan_ir import plan_ir_from_payload
 from repro.db.serving import (
     AdmissionRejected,
     ServingError,
@@ -440,6 +441,25 @@ class TestWireFormat:
         payload = _payload(plan={"kind": "join_order", "order": ["nope"]})
         with pytest.raises(DatabaseError):
             execute_payload(payload, serial_db)
+
+    def test_join_order_with_duplicate_atoms_is_refused(self):
+        order = ["r0", "r1", "r1", "r2", "r3", "r4"]
+        with pytest.raises(DatabaseError, match="exactly once"):
+            plan_ir_from_payload(_query(), {"kind": "join_order", "order": order})
+        with pytest.raises(DatabaseError, match="exactly once"):
+            plan_ir_from_payload(
+                _query(), {"kind": "join_order", "order": ATOMS[:-1] + ["r0"]}
+            )
+
+    def test_duplicate_atom_payload_gets_an_error_record(self, pool, serial_db):
+        payload = _payload(
+            plan={"kind": "join_order", "order": ["r0"] + list(ATOMS)}
+        )
+        with pytest.raises(DatabaseError, match="exactly once"):
+            execute_payload(payload, serial_db)
+        [response] = pool.run([_roundtrip(payload)])
+        assert response["status"] == "error"
+        assert "exactly once" in response["error"]
 
     def test_responses_are_json_safe(self, pool):
         for answer in ("rows", "digest"):
