@@ -15,24 +15,13 @@ turn them into index vectors with ``numpy.flatnonzero``.  An optional
 ``rows`` index array restricts a test to a subset of rows (a fancy-indexing
 gather), which is how per-component candidate slices are tested without
 rebuilding matrices.
-
-:class:`ScalarMaskMatrix` implements the identical interface on plain
-Python ints (boolean *lists* instead of arrays) and is what
-:func:`mask_matrix` returns when numpy is unavailable -- the same
-dependency-degradation contract as ``columnar=False`` in :mod:`repro.db`.
-The scalar decomposition algorithms do not route through it (their
-historical loops *are* the oracle); it exists so MaskMatrix consumers stay
-runnable, and testable, without numpy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Tuple
 
-try:  # pragma: no cover - numpy is present in the supported environments
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 #: Bits per matrix word.
 WORD_BITS = 64
@@ -59,8 +48,6 @@ class MaskMatrix:
     __slots__ = ("num_bits", "width", "_words")
 
     def __init__(self, masks: Iterable[int], num_bits: int) -> None:
-        if np is None:  # pragma: no cover - guarded by mask_matrix()
-            raise RuntimeError("MaskMatrix requires numpy; use ScalarMaskMatrix")
         self.num_bits = num_bits
         self.width = _word_count(num_bits)
         mask_list = masks if isinstance(masks, list) else list(masks)
@@ -154,73 +141,3 @@ class MaskMatrix:
 
     def __repr__(self) -> str:
         return f"MaskMatrix({len(self)} rows × {self.width} words)"
-
-
-class ScalarMaskMatrix:
-    """The numpy-free twin of :class:`MaskMatrix`.
-
-    Same construction and query surface; boolean results are Python lists
-    (so ``flatnonzero``-style consumers must use
-    :func:`nonzero_indices`, which handles both).
-    """
-
-    __slots__ = ("num_bits", "width", "_masks")
-
-    def __init__(self, masks: Iterable[int], num_bits: int) -> None:
-        self.num_bits = num_bits
-        self.width = _word_count(num_bits)
-        self._masks: List[int] = list(masks)
-
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    def _rows(self, rows) -> List[int]:
-        masks = self._masks
-        return masks if rows is None else [masks[r] for r in rows]
-
-    def intersects(self, mask: int, rows=None) -> List[bool]:
-        return [bool(m & mask) for m in self._rows(rows)]
-
-    def subset_of(self, mask: int, rows=None) -> List[bool]:
-        return [not (m & ~mask) for m in self._rows(rows)]
-
-    def covers(self, mask: int, rows=None) -> List[bool]:
-        return [not (mask & ~m) for m in self._rows(rows)]
-
-    def intersections(self, mask: int, rows=None) -> List[int]:
-        return [m & mask for m in self._rows(rows)]
-
-    def mask_at(self, row: int) -> int:
-        return self._masks[row]
-
-    def tolist(self, rows=None) -> List[int]:
-        return list(self._rows(rows))
-
-    def __repr__(self) -> str:
-        return f"ScalarMaskMatrix({len(self)} rows × {self.width} words)"
-
-
-AnyMaskMatrix = Union[MaskMatrix, ScalarMaskMatrix]
-
-
-def mask_matrix(
-    masks: Iterable[int], num_bits: int, vectorized: Optional[bool] = None
-) -> AnyMaskMatrix:
-    """Build the numpy matrix when available (or demanded), else the scalar
-    twin.  ``vectorized=True`` without numpy raises ImportError -- callers
-    that want silent degradation pass ``None``."""
-    if vectorized is None:
-        vectorized = np is not None
-    if not vectorized:
-        return ScalarMaskMatrix(masks, num_bits)
-    if np is None:
-        raise ImportError("numpy is required for a vectorized MaskMatrix")
-    return MaskMatrix(masks, num_bits)
-
-
-def nonzero_indices(flags) -> List[int]:
-    """Indices of the true entries of a boolean vector from either matrix
-    flavour (numpy array or Python list)."""
-    if np is not None and isinstance(flags, np.ndarray):
-        return np.flatnonzero(flags).tolist()
-    return [i for i, flag in enumerate(flags) if flag]

@@ -5,24 +5,18 @@ model."""
 from repro.db.relation import Relation, Row, Value
 from repro.db.dictionary import Dictionary
 
-try:  # The columnar engine needs numpy; the row engine covers its absence.
-    from repro.db.columnar import (
-        ColumnarRelation,
-        columnar_natural_join,
-        columnar_project,
-        columnar_select,
-        columnar_semijoin,
-    )
-except ImportError:  # pragma: no cover - exercised only without numpy
-    ColumnarRelation = None  # type: ignore[assignment]
-    columnar_natural_join = columnar_project = None  # type: ignore[assignment]
-    columnar_select = columnar_semijoin = None  # type: ignore[assignment]
+from repro.db.columnar import (
+    ColumnarRelation,
+    columnar_natural_join,
+    columnar_project,
+    columnar_select,
+    columnar_semijoin,
+)
 from repro.db.statistics import CatalogStatistics, TableStatistics, analyze_relation
 from repro.db.database import Database
 from repro.db.algebra import (
     OperatorStats,
     cartesian_product,
-    chunk_rows_for_budget,
     evaluate_node_expression,
     join_all,
     natural_join,
@@ -94,7 +88,6 @@ __all__ = [
     "OperatorStats",
     "TaskScheduler",
     "cartesian_product",
-    "chunk_rows_for_budget",
     "evaluate_node_expression",
     "join_all",
     "natural_join",

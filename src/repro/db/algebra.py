@@ -10,6 +10,15 @@ Every operator can be handed an :class:`OperatorStats` accumulator which
 counts the tuples read and produced.  The experiments use those counters as a
 hardware-independent proxy for evaluation time ("evaluation work"), which is
 what lets the Fig. 8 comparisons be reproduced deterministically.
+
+Operands that are columnar over one shared dictionary run on the int
+kernels of :mod:`repro.db.columnar`; anything else runs on the row-based
+reference operators here, the oracle the columnar kernels are pinned
+against.  The join, semijoin and projection take one memory knob,
+``memory_budget_bytes``: :mod:`repro.db.columnar` turns it into morsel
+sizes (the row engine materialises per tuple and ignores it), and it
+never changes results or work counters -- only
+``OperatorStats.peak_transient_elements``.
 """
 
 from __future__ import annotations
@@ -18,16 +27,13 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # The columnar kernels need numpy; degrade to the row engine without it.
-    from repro.db.columnar import (
-        ColumnarRelation,
-        columnar_natural_join,
-        columnar_project,
-        columnar_select,
-        columnar_semijoin,
-    )
-except ImportError:  # pragma: no cover - exercised only without numpy
-    ColumnarRelation = None  # type: ignore[assignment]
+from repro.db.columnar import (
+    ColumnarRelation,
+    columnar_natural_join,
+    columnar_project,
+    columnar_select,
+    columnar_semijoin,
+)
 from repro.db.relation import Relation, Row
 from repro.exceptions import DatabaseError
 
@@ -36,8 +42,7 @@ def _columnar_pair(left: Relation, right: Relation) -> bool:
     """True when both operands are columnar over the *same* dictionary, so
     the int-kernel fast path is applicable (ids are directly comparable)."""
     return (
-        ColumnarRelation is not None
-        and isinstance(left, ColumnarRelation)
+        isinstance(left, ColumnarRelation)
         and isinstance(right, ColumnarRelation)
         and left.dictionary is right.dictionary
     )
@@ -168,27 +173,6 @@ class OperatorStats:
         }
 
 
-#: Transient int64 words the chunked join kernel allocates per morsel row
-#: (5 emit-sized index arrays + 3 probe-sized range arrays, rounded up for
-#: slack) -- the constant that converts a byte budget into ``chunk_rows``.
-_CHUNK_WORDS_PER_ROW = 16
-
-#: Smallest useful morsel: below this the per-chunk Python overhead swamps
-#: any memory saving.
-_MIN_CHUNK_ROWS = 32
-
-
-def chunk_rows_for_budget(memory_budget_bytes: Optional[int]) -> Optional[int]:
-    """Translate a per-query memory budget into the morsel size the chunked
-    columnar kernels use.  ``None`` and non-positive values both mean
-    unbounded (the single-batch oracle kernels) -- the same normalisation
-    :class:`~repro.db.database.Database` applies to its knob, so ``0``
-    disables the budget at every entry point."""
-    if memory_budget_bytes is None or memory_budget_bytes <= 0:
-        return None
-    return max(_MIN_CHUNK_ROWS, int(memory_budget_bytes) // (8 * _CHUNK_WORDS_PER_ROW))
-
-
 def _shared_attributes(left: Relation, right: Relation) -> Tuple[str, ...]:
     return tuple(a for a in left.attributes if a in right.attributes)
 
@@ -199,7 +183,6 @@ def natural_join(
     stats: Optional[OperatorStats] = None,
     name: Optional[str] = None,
     keep=None,
-    chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """Hash-based natural join on all shared attributes.
@@ -215,12 +198,9 @@ def natural_join(
     because ``keep`` never changes join semantics, cardinalities or stats,
     only which columns the columnar result carries.
 
-    ``chunk_rows`` is the memory-bounding morsel size, honoured by the
-    columnar kernel only (the row engine materialises per tuple and needs
-    no bounding); like ``keep`` it never changes results or stats.
-    ``memory_budget_bytes`` upgrades the columnar kernel to adaptive morsel
-    sizing (exact per-chunk transient cost against the budget) -- also
-    result- and stats-neutral apart from the peak-memory diagnostics.
+    ``memory_budget_bytes`` bounds the columnar kernel's transient index
+    arrays (morsel-wise probe, adaptive emit chunks); like ``keep`` it
+    never changes results or work counters.
     """
     if _columnar_pair(left, right):
         return columnar_natural_join(
@@ -229,7 +209,6 @@ def natural_join(
             stats=stats,
             name=name,
             keep=keep,
-            chunk_rows=chunk_rows,
             memory_budget_bytes=memory_budget_bytes,
         )
     shared = _shared_attributes(left, right)
@@ -275,7 +254,6 @@ def join_all(
     stats: Optional[OperatorStats] = None,
     order: Optional[Sequence[int]] = None,
     needed: Optional[Iterable[str]] = None,
-    chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """Join a list of relations left-to-right (optionally in a given order).
@@ -299,7 +277,6 @@ def join_all(
                 result,
                 relation,
                 stats=stats,
-                chunk_rows=chunk_rows,
                 memory_budget_bytes=memory_budget_bytes,
             )
         return result
@@ -317,7 +294,6 @@ def join_all(
             relation,
             stats=stats,
             keep=needed_set | suffix_attrs[index],
-            chunk_rows=chunk_rows,
             memory_budget_bytes=memory_budget_bytes,
         )
     return result
@@ -327,13 +303,16 @@ def semijoin(
     left: Relation,
     right: Relation,
     stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
+    memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """``left ⋉ right``: the rows of ``left`` that join with some row of
-    ``right`` (on the shared attributes).  ``chunk_rows`` bounds the
-    columnar membership test's transient arrays (row engine: ignored)."""
+    ``right`` (on the shared attributes).  ``memory_budget_bytes`` bounds
+    the columnar membership test's transient arrays (row engine:
+    ignored)."""
     if _columnar_pair(left, right):
-        return columnar_semijoin(left, right, stats=stats, chunk_rows=chunk_rows)
+        return columnar_semijoin(
+            left, right, stats=stats, memory_budget_bytes=memory_budget_bytes
+        )
     if stats is not None:
         stats.check(left.cardinality + right.cardinality)
     shared = _shared_attributes(left, right)
@@ -362,7 +341,7 @@ def project(
     stats: Optional[OperatorStats] = None,
     name: Optional[str] = None,
     distinct: bool = True,
-    chunk_rows: Optional[int] = None,
+    memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """``Π_attributes(relation)``.
 
@@ -371,14 +350,14 @@ def project(
     SQL-style projection that keeps duplicates (used by the baseline plan's
     final output before the explicit answer comparison).
     """
-    if ColumnarRelation is not None and isinstance(relation, ColumnarRelation):
+    if isinstance(relation, ColumnarRelation):
         return columnar_project(
             relation,
             attributes,
             stats=stats,
             name=name,
             distinct=distinct,
-            chunk_rows=chunk_rows,
+            memory_budget_bytes=memory_budget_bytes,
         )
     wanted = [a for a in attributes if a in relation.attributes]
     positions = [relation.position(a) for a in wanted]
@@ -400,7 +379,7 @@ def select(
 ) -> Relation:
     """``σ_predicate(relation)`` where the predicate sees a dict
     ``attribute -> value``."""
-    if ColumnarRelation is not None and isinstance(relation, ColumnarRelation):
+    if isinstance(relation, ColumnarRelation):
         return columnar_select(relation, predicate, stats=stats)
     rows = []
     for row in relation.rows:
@@ -426,7 +405,6 @@ def evaluate_node_expression(
     relations: Sequence[Relation],
     projection: Sequence[str],
     stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> Relation:
     """The paper's per-node expression ``E(p) = Π_{χ(p)} ⋈_{h ∈ λ(p)} rel(h)``.
@@ -442,7 +420,8 @@ def evaluate_node_expression(
         stats=stats,
         order=ordered,
         needed=projection,
-        chunk_rows=chunk_rows,
         memory_budget_bytes=memory_budget_bytes,
     )
-    return project(joined, projection, stats=stats, chunk_rows=chunk_rows)
+    return project(
+        joined, projection, stats=stats, memory_budget_bytes=memory_budget_bytes
+    )

@@ -589,6 +589,9 @@ class ServingDaemon:
         self._payload_lock = threading.Lock()
         self._generation = 0
         self._stop_event = threading.Event()
+        # Set by the SIGTERM/SIGINT handler, turned into request_shutdown()
+        # by serve_forever (see _on_signal).
+        self._signalled = False
         self._finished = threading.Event()
         self._threads: List[threading.Thread] = []
 
@@ -598,11 +601,15 @@ class ServingDaemon:
         this returns the daemon is serving; :attr:`address` carries the
         actually-bound address (TCP port 0 resolves here).
 
-        ``handle_signals`` makes SIGTERM/SIGINT request the drain.  The
-        handlers go in after the pool has forked (workers keep the default
-        SIGTERM disposition, which :meth:`ServingPool.close` relies on) and
-        before the listener binds, so no client can reach the daemon while
-        a signal would still kill it outright."""
+        ``handle_signals`` installs SIGTERM/SIGINT handlers that only record
+        the signal; :meth:`serve_forever` turns that record into the drain
+        (see :meth:`_on_signal`), so pass it only when ``serve_forever``
+        will drive the daemon -- a caller that blocks in :meth:`wait`
+        instead must call :meth:`shutdown` itself.  The handlers go in
+        after the pool has forked (workers keep the default SIGTERM
+        disposition, which :meth:`ServingPool.close` relies on) and before
+        the listener binds, so no client can reach the daemon while a
+        signal would still kill it outright."""
         if self._pool is not None:
             raise DaemonError("daemon already started")
         # Fork the workers *before* spawning our own service threads:
@@ -653,10 +660,11 @@ class ServingDaemon:
         return listener
 
     def request_shutdown(self) -> None:
-        """Begin drain-then-exit (idempotent, signal-safe): stop
-        accepting, let in-flight work finish or deadline out, then close
-        everything.  Returns immediately; :meth:`wait` blocks until the
-        drain completes."""
+        """Begin drain-then-exit (idempotent): stop accepting, let
+        in-flight work finish or deadline out, then close everything.
+        Returns immediately; :meth:`wait` blocks until the drain
+        completes.  Not for signal handlers: it takes the stop event's
+        lock (see :meth:`_on_signal`)."""
         self._stop_event.set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -680,12 +688,22 @@ class ServingDaemon:
         elif handle_signals:
             self._handle_signals()
         while not self._stop_event.wait(_TICK_SECONDS):
-            pass  # polling wait: robust to signal delivery edge cases
+            if self._signalled:
+                self.request_shutdown()
         return self._finish()
 
     def _handle_signals(self) -> None:
         for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, lambda *_: self.request_shutdown())
+            signal.signal(signum, self._on_signal)
+
+    def _on_signal(self, signum, frame) -> None:
+        """The SIGTERM/SIGINT handler: only sets a flag.  Python runs it in
+        the main thread between two bytecodes, possibly while that thread
+        holds the stop event's non-reentrant lock inside
+        ``_stop_event.wait``, so setting the event here could deadlock;
+        :meth:`serve_forever` calls :meth:`request_shutdown` on its next
+        tick instead."""
+        self._signalled = True
 
     def _finish(self) -> int:
         """Tear-down, run by whichever thread called shutdown/serve_forever:

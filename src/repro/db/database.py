@@ -22,10 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional
 
-try:  # Columnar storage needs numpy; fall back to row storage without it.
-    from repro.db.columnar import ColumnarRelation
-except ImportError:  # pragma: no cover - exercised only without numpy
-    ColumnarRelation = None  # type: ignore[assignment]
+from repro.db.columnar import ColumnarRelation
 from repro.db.dictionary import Dictionary
 from repro.db.relation import Relation
 from repro.db.scheduler import memory_budget_from_env, threads_from_env
@@ -81,7 +78,7 @@ class Database:
 
     # ------------------------------------------------------------------
     def _intern(self, relation: Relation) -> Relation:
-        if not self.columnar or ColumnarRelation is None:
+        if not self.columnar:
             return relation
         return ColumnarRelation.from_relation(relation, self.dictionary)
 
@@ -128,8 +125,8 @@ class Database:
     ) -> "Database":
         """Open a stored database.  Under the columnar engine every column
         is ``np.memmap``'d read-only straight into the relations -- no
-        interning, no row materialisation; without numpy (or with
-        ``columnar=False``) the stored ids decode through the row engine.
+        interning, no row materialisation; with ``columnar=False`` the
+        stored ids decode through the row engine.
         Statistics come back verbatim from the catalog."""
         from repro.db.storage import open_database
 
@@ -185,8 +182,7 @@ class Database:
                 keep_positions.append(position)
 
         if (
-            ColumnarRelation is not None
-            and isinstance(stored, ColumnarRelation)
+            isinstance(stored, ColumnarRelation)
             and stored.dictionary is self.dictionary
         ):
             return self._bind_columnar(

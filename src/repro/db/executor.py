@@ -29,13 +29,12 @@ The execution plane is parallel and memory-bounded:
   their atoms and fold them in one left-deep join, so they always run
   inline.
 * ``memory_budget_bytes`` (same defaulting chain, env var
-  ``REPRO_DB_MEMORY_BUDGET_BYTES``) caps each columnar kernel's transient
-  index arrays: the probe/membership kernels of :mod:`repro.db.columnar`
-  get a fixed morsel size
-  (:func:`repro.db.algebra.chunk_rows_for_budget`) and the join's
-  materialisation phase sizes its morsels *adaptively* from the exact
-  per-chunk emit counts against the byte budget -- results, emit counts
-  and the evaluation-budget stop are unchanged.
+  ``REPRO_DB_MEMORY_BUDGET_BYTES``; ``0`` means unbounded) is handed to
+  every kernel unchanged and caps its transient index arrays:
+  :mod:`repro.db.columnar` alone turns it into probe/membership/key-pack
+  morsel sizes and sizes the join's materialisation morsels adaptively
+  from the exact per-chunk emit counts -- results, emit counts and the
+  evaluation-budget stop are unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.db.algebra import (
     OperatorStats,
-    chunk_rows_for_budget,
     evaluate_node_expression,
     join_all,
     project,
@@ -185,9 +183,6 @@ def execute_plan(
     threads = resolve_threads(threads, default=getattr(database, "threads", 1))
     if memory_budget_bytes is None:
         memory_budget_bytes = getattr(database, "memory_budget_bytes", None)
-    if memory_budget_bytes is not None and memory_budget_bytes <= 0:
-        memory_budget_bytes = None
-    chunk_rows = chunk_rows_for_budget(memory_budget_bytes)
     if trace is None and obs_enabled():
         trace = TraceRecorder()
 
@@ -222,7 +217,6 @@ def execute_plan(
                     )
                 relation = join_all(
                     inputs, stats=stats, order=order, needed=needed,
-                    chunk_rows=chunk_rows,
                     memory_budget_bytes=memory_budget_bytes,
                 )
                 span.attrs["rows"] = relation.cardinality
@@ -241,7 +235,7 @@ def execute_plan(
                     stats=stats,
                     name=node.name,
                     distinct=node.distinct,
-                    chunk_rows=chunk_rows,
+                    memory_budget_bytes=memory_budget_bytes,
                 )
                 span.attrs["rows"] = relation.cardinality
             return relation
@@ -252,8 +246,7 @@ def execute_plan(
         for atom_name in scan_order(root):
             scan(atom_name)  # serial pre-bind: dictionary interning stays ordered
         return _execute_yannakakis(
-            root, run, stats, threads, chunk_rows, memory_budget_bytes,
-            trace, trace_id,
+            root, run, stats, threads, memory_budget_bytes, trace, trace_id,
         )
 
     # A Boolean plan only needs the root cardinality, so the top-level join
@@ -267,8 +260,8 @@ def execute_plan(
 
 
 def _execute_yannakakis(
-    root: YannakakisNode, run, stats, threads: int, chunk_rows,
-    memory_budget_bytes, trace, trace_id,
+    root: YannakakisNode, run, stats, threads: int, memory_budget_bytes,
+    trace, trace_id,
 ) -> ExecutionResult:
     """Run one Yannakakis plan as its per-subtree task DAG.
 
@@ -307,7 +300,8 @@ def _execute_yannakakis(
     functions.update(
         reduction_task_functions(
             tree, relations, stats=stats, full=not root.boolean,
-            chunk_rows=chunk_rows, trace=trace, trace_id=trace_id,
+            memory_budget_bytes=memory_budget_bytes, trace=trace,
+            trace_id=trace_id,
         )
     )
     scheduler.run(
@@ -321,15 +315,15 @@ def _execute_yannakakis(
     plan = fold_plan(tree, list(root.output_variables))
     folded = dict(relations)
     functions = fold_task_functions(
-        tree, folded, plan, stats=stats, chunk_rows=chunk_rows,
+        tree, folded, plan, stats=stats,
         memory_budget_bytes=memory_budget_bytes, trace=trace, trace_id=trace_id,
     )
     scheduler.run(
         [(s.key, s.deps, functions[s.key]) for s in specs if s.key[0] == "fold"]
     )
     result = project_answer(
-        folded[root.root], plan, stats=stats, chunk_rows=chunk_rows,
-        trace=trace, trace_id=trace_id,
+        folded[root.root], plan, stats=stats,
+        memory_budget_bytes=memory_budget_bytes, trace=trace, trace_id=trace_id,
     )
     return ExecutionResult(relation=result, boolean=None, stats=stats)
 

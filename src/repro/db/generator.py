@@ -23,10 +23,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-try:  # Columnar storage needs numpy; the generator then emits row relations.
-    from repro.db.columnar import ColumnarRelation
-except ImportError:  # pragma: no cover - exercised only without numpy
-    ColumnarRelation = None  # type: ignore[assignment]
+from repro.db.columnar import ColumnarRelation
 from repro.db.database import Database
 from repro.db.relation import Relation
 from repro.db.statistics import CatalogStatistics, TableStatistics
@@ -78,7 +75,7 @@ def _add_generated(
     """Store generated value columns in the database: interned straight into
     its dictionary when the database is columnar, materialised as row tuples
     otherwise (the single place where the two representations split)."""
-    if database.columnar and ColumnarRelation is not None:
+    if database.columnar:
         database.add_relation(
             ColumnarRelation.from_value_columns(
                 name, attributes, columns, database.dictionary

@@ -95,7 +95,7 @@ class Relation:
     ) -> "Relation":
         """Build a relation from per-attribute value columns (the row-engine
         twin of ``ColumnarRelation.from_value_columns``; the storage plane's
-        numpy-free open path decodes stored columns through it).
+        row-engine open path decodes stored columns through it).
 
         ``cardinality`` is only needed for zero-arity relations, whose row
         count cannot be inferred from an empty column list.

@@ -81,6 +81,8 @@ import time
 from multiprocessing.connection import wait as _connection_wait
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.db.database import Database
 from repro.db.executor import execute_plan
 from repro.db.faults import FaultPlan, resolve_fault_plan
@@ -140,6 +142,12 @@ _POLL_SECONDS = 0.1
 
 #: Ceiling on the exponential retry backoff (seconds).
 _MAX_BACKOFF_SECONDS = 2.0
+
+#: How often an idle worker checks that its supervisor is still alive.  A
+#: worker inherits the write ends of its own request queue, so it never
+#: sees EOF there; without this check a SIGKILLed supervisor would leave
+#: its workers blocked forever.
+_PARENT_CHECK_SECONDS = 0.5
 
 
 class ServingError(DatabaseError):
@@ -434,10 +442,6 @@ def _store_report(database: Database) -> Dict[str, object]:
     content digest (all workers must agree) and how many of its columns
     arrived as read-only ``np.memmap`` views (the bench asserts this is
     every column -- shared pages, not pickled copies)."""
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - row-engine fallback
-        np = None
     total_columns = 0
     mmap_columns = 0
     for name in database.relation_names():
@@ -448,7 +452,7 @@ def _store_report(database: Database) -> Dict[str, object]:
             columns.append(selection)
         for column in columns:
             total_columns += 1
-            if np is not None and isinstance(column, np.memmap):
+            if isinstance(column, np.memmap):
                 mmap_columns += 1
     return {
         "pid": os.getpid(),
@@ -473,8 +477,12 @@ def _worker_main(worker_id, store_path, request_queue, response_queue, options):
     The hello report carries ``startup_seconds`` (process entry to ready)
     so slow spawn-method cold starts are visible at the pool; each result
     message carries the attempt's wall-clock seconds for the pool's
-    ``worker_execute_seconds`` histogram."""
+    ``worker_execute_seconds`` histogram.
+
+    A worker whose supervisor has died (it has been re-parented) exits on
+    its own within ``_PARENT_CHECK_SECONDS``."""
     started = time.monotonic()
+    supervisor_pid = os.getppid()
     try:
         database = Database.open(
             store_path,
@@ -492,7 +500,12 @@ def _worker_main(worker_id, store_path, request_queue, response_queue, options):
         response_queue.put(("fatal", worker_id, repr(exc)))
         return
     while True:
-        message = request_queue.get()
+        try:
+            message = request_queue.get(timeout=_PARENT_CHECK_SECONDS)
+        except queue.Empty:
+            if os.getppid() != supervisor_pid:
+                return
+            continue
         if message[0] == "stop":
             response_queue.put(("bye", worker_id, None))
             return

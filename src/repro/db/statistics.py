@@ -21,10 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional
 
-try:  # Columnar analysis needs numpy; the row path covers its absence.
-    from repro.db.columnar import ColumnarRelation
-except ImportError:  # pragma: no cover - exercised only without numpy
-    ColumnarRelation = None  # type: ignore[assignment]
+from repro.db.columnar import ColumnarRelation
 from repro.db.relation import Relation
 from repro.exceptions import DatabaseError
 
@@ -103,7 +100,7 @@ def analyze_relation(relation: Relation) -> TableStatistics:
     numbers feed the planner's cost model either way, so both engines plan
     from identical statistics.
     """
-    if ColumnarRelation is not None and isinstance(relation, ColumnarRelation):
+    if isinstance(relation, ColumnarRelation):
         distinct_counts = relation.distinct_counts()
     else:
         distinct_counts = {

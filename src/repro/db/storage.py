@@ -41,9 +41,9 @@ width**: no interning, no row materialisation, no decode -- the kernels
 run on the packed ids (frame-of-reference preserves order and equality)
 and widen only at the Dictionary value boundary.  The maps are
 **read-only** (writes raise), which is safe because every kernel treats
-input columns as immutable.  Without numpy the same files are decoded
-through the row engine (:meth:`Relation.from_value_columns`), so a stored
-database opens on either engine.  Because join/semijoin/project output
+input columns as immutable.  With ``columnar=False`` the same files are
+decoded through the row engine (:meth:`Relation.from_value_columns`), so a
+stored database opens on either engine.  Because join/semijoin/project output
 order is id-independent (matches surface in probe-row then base-row
 order), a round-tripped database yields byte-identical answers, row order
 and ``OperatorStats`` to the in-memory original -- whichever encoding it
@@ -78,21 +78,14 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
-try:  # The mmap fast path needs numpy; the row fallback covers its absence.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
+from repro.db.columnar import ColumnarRelation
 from repro.db.database import Database
 from repro.db.dictionary import Dictionary
 from repro.db.relation import Relation
 from repro.db.statistics import CatalogStatistics
 from repro.exceptions import StorageFormatError
-
-try:
-    from repro.db.columnar import ColumnarRelation
-except ImportError:  # pragma: no cover - exercised only without numpy
-    ColumnarRelation = None  # type: ignore[assignment]
 
 #: Format marker + version of the on-disk layout.  Bump the version on any
 #: incompatible change; readers raise :class:`StorageFormatError` on both an
@@ -152,7 +145,7 @@ def resolve_encoding(encoding: Optional[str] = None) -> str:
 def _id_bounds(ids, reference: int = 0):
     """``(lo, hi)`` of a column's true ids (stored value + reference);
     ``(0, 0)`` for an empty column."""
-    if np is not None and isinstance(ids, np.ndarray):
+    if isinstance(ids, np.ndarray):
         if ids.size == 0:
             return 0, 0
         return int(ids.min()) + reference, int(ids.max()) + reference
@@ -204,7 +197,7 @@ def pack_ids(
         tag = _span_tag(0, hi) if lo >= 0 else "i64"
         new_reference = 0
     typecode, _, np_dtype = _DTYPE_TAGS[tag]
-    if np is not None and isinstance(ids, np.ndarray):
+    if isinstance(ids, np.ndarray):
         true_ids = ids.astype(np.int64)
         if reference:
             true_ids += reference
@@ -229,7 +222,7 @@ def pack_ids(
 
 
 def unpack_ids(payload: bytes, meta: Mapping, length: int) -> List[int]:
-    """Decode one column file's bytes back to true ids (the numpy-free
+    """Decode one column file's bytes back to true ids (the row-engine
     inverse of :func:`pack_ids`; the mmap path never calls this)."""
     tag = str(meta.get("dtype", "i64"))
     if tag not in _DTYPE_TAGS:
@@ -294,7 +287,7 @@ def _memmap_column(path: Path, length: int, tag: str = "i64"):
 def _read_column_fallback(
     path: Path, length: int, meta: Mapping
 ) -> List[int]:
-    """Decode one column file to true ids without numpy (the row-engine
+    """Decode one column file to true ids as Python ints (the row-engine
     open path).  ``meta`` is the column's catalog entry; a missing
     ``"encoding"`` key reads as v1 raw int64."""
     tag, reference = _column_encoding(meta)
@@ -321,7 +314,7 @@ def _checked_ids(
     than regeneration.)  ``reference`` is the column's frame offset: the
     check runs on true ids, the stored values stay packed.
     """
-    if np is not None and isinstance(column, np.ndarray):
+    if isinstance(column, np.ndarray):
         if column.size == 0:
             return column
         lo, hi = int(column.min()) + reference, int(column.max()) + reference
@@ -358,7 +351,7 @@ def _encoded_relations(database: Database):
         relation
         for relation in (database.relation(n) for n in database.relation_names())
     ]
-    if database.columnar and ColumnarRelation is not None and all(
+    if database.columnar and all(
         isinstance(r, ColumnarRelation) and r.dictionary is database.dictionary
         for r in columnar
     ):
@@ -580,11 +573,11 @@ def open_database(
 ) -> Database:
     """Open a stored database.
 
-    With numpy present and ``columnar=True`` (the default) every column file
-    is ``np.memmap``'d read-only directly into the relations -- no value is
+    With ``columnar=True`` (the default) every column file is
+    ``np.memmap``'d read-only directly into the relations -- no value is
     interned and no row materialised, which is what makes warm opens orders
-    of magnitude cheaper than regeneration.  ``columnar=False`` (or a
-    missing numpy) decodes the same files through the row engine instead.
+    of magnitude cheaper than regeneration.  ``columnar=False`` decodes the
+    same files through the row engine instead.
     ``threads`` / ``memory_budget_bytes`` are the usual execution-plane
     knobs of :class:`Database`.
     """
@@ -602,11 +595,10 @@ def open_database(
             f"{dict_meta.get('entries')}"
         )
 
-    use_columnar = columnar and np is not None and ColumnarRelation is not None
     database = Database(
         name=str(catalog.get("name", "db")),
-        columnar=use_columnar,
-        dictionary=dictionary if use_columnar else None,
+        columnar=columnar,
+        dictionary=dictionary if columnar else None,
         threads=threads,
         memory_budget_bytes=memory_budget_bytes,
     )
@@ -654,7 +646,7 @@ def open_database(
             raise StorageFormatError(
                 f"relation {name!r}: malformed column metadata: {exc!r}"
             ) from exc
-        if use_columnar:
+        if columnar:
             columns = [
                 _checked_ids(
                     _memmap_column(path, base_length, tag),

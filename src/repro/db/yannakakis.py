@@ -90,7 +90,7 @@ def semijoin_reduce(
     tree: TreeQuery,
     stats: Optional[OperatorStats] = None,
     full: bool = True,
-    chunk_rows: Optional[int] = None,
+    memory_budget_bytes: Optional[int] = None,
     trace=None,
     trace_id=None,
 ) -> TreeQuery:
@@ -98,16 +98,17 @@ def semijoin_reduce(
 
     The bottom-up pass is always performed; the top-down pass only when
     ``full`` is true (it is not needed for Boolean queries).  Returns a new
-    :class:`TreeQuery` with reduced relations.  ``chunk_rows`` bounds the
-    columnar semijoin kernels' transient memory (results unchanged).
+    :class:`TreeQuery` with reduced relations.  ``memory_budget_bytes``
+    bounds the columnar semijoin kernels' transient memory (results
+    unchanged).
     Runs :func:`reduction_task_functions` inline in their canonical order;
     ``trace`` records their ``up:<node>`` / ``down:<node>`` spans.
     """
     tree.validate()
     relations = dict(tree.relations)
     tasks = reduction_task_functions(
-        tree, relations, stats=stats, full=full, chunk_rows=chunk_rows,
-        trace=trace, trace_id=trace_id,
+        tree, relations, stats=stats, full=full,
+        memory_budget_bytes=memory_budget_bytes, trace=trace, trace_id=trace_id,
     )
     for task in tasks.values():
         task()
@@ -117,14 +118,14 @@ def semijoin_reduce(
 def evaluate_boolean(
     tree: TreeQuery,
     stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
+    memory_budget_bytes: Optional[int] = None,
     trace=None,
     trace_id=None,
 ) -> bool:
     """Answer the Boolean query represented by the tree: true iff the
     semijoin-reduced root is non-empty."""
     reduced = semijoin_reduce(
-        tree, stats=stats, full=False, chunk_rows=chunk_rows,
+        tree, stats=stats, full=False, memory_budget_bytes=memory_budget_bytes,
         trace=trace, trace_id=trace_id,
     )
     return reduced.relations[reduced.root].cardinality > 0
@@ -205,7 +206,6 @@ def evaluate(
     tree: TreeQuery,
     output_variables: Sequence[str],
     stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
     trace=None,
     trace_id=None,
@@ -221,20 +221,20 @@ def evaluate(
     ``fold:<node>`` spans and the final ``project:answer``.
     """
     reduced = semijoin_reduce(
-        tree, stats=stats, full=True, chunk_rows=chunk_rows,
+        tree, stats=stats, full=True, memory_budget_bytes=memory_budget_bytes,
         trace=trace, trace_id=trace_id,
     )
     plan = fold_plan(reduced, output_variables)
     folded = dict(reduced.relations)
     tasks = fold_task_functions(
-        reduced, folded, plan, stats=stats, chunk_rows=chunk_rows,
+        reduced, folded, plan, stats=stats,
         memory_budget_bytes=memory_budget_bytes, trace=trace, trace_id=trace_id,
     )
     for task in tasks.values():
         task()
     return project_answer(
-        folded[reduced.root], plan, stats=stats, chunk_rows=chunk_rows,
-        trace=trace, trace_id=trace_id,
+        folded[reduced.root], plan, stats=stats,
+        memory_budget_bytes=memory_budget_bytes, trace=trace, trace_id=trace_id,
     )
 
 
@@ -242,7 +242,7 @@ def project_answer(
     relation: Relation,
     plan: FoldPlan,
     stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
+    memory_budget_bytes: Optional[int] = None,
     trace=None,
     trace_id=None,
 ) -> Relation:
@@ -251,7 +251,7 @@ def project_answer(
     with span_context(trace, "project:answer", "yannakakis", trace_id) as span:
         answer = project(
             relation, plan.wanted, stats=stats, name="answer",
-            chunk_rows=chunk_rows,
+            memory_budget_bytes=memory_budget_bytes,
         )
         span.attrs["rows"] = answer.cardinality
     return answer
@@ -271,7 +271,7 @@ def reduction_task_functions(
     relations: Dict[object, Relation],
     stats: Optional[OperatorStats] = None,
     full: bool = True,
-    chunk_rows: Optional[int] = None,
+    memory_budget_bytes: Optional[int] = None,
     trace=None,
     trace_id=None,
 ) -> Dict[Tuple[str, object], Callable[[], None]]:
@@ -290,7 +290,7 @@ def reduction_task_functions(
                 for child in kids:
                     relations[node] = semijoin(
                         relations[node], relations[child], stats=stats,
-                        chunk_rows=chunk_rows,
+                        memory_budget_bytes=memory_budget_bytes,
                     )
                 span.attrs["rows"] = relations[node].cardinality
         return run
@@ -300,7 +300,7 @@ def reduction_task_functions(
             with span_context(trace, f"down:{child}", "yannakakis", trace_id) as span:
                 relations[child] = semijoin(
                     relations[child], relations[parent_id], stats=stats,
-                    chunk_rows=chunk_rows,
+                    memory_budget_bytes=memory_budget_bytes,
                 )
                 span.attrs["rows"] = relations[child].cardinality
         return run
@@ -320,7 +320,6 @@ def fold_task_functions(
     folded: Dict[object, Relation],
     plan: FoldPlan,
     stats: Optional[OperatorStats] = None,
-    chunk_rows: Optional[int] = None,
     memory_budget_bytes: Optional[int] = None,
     trace=None,
     trace_id=None,
@@ -339,11 +338,10 @@ def fold_task_functions(
                 for child in kids:
                     contribution = project(
                         folded[child], plan.keeps[child], stats=stats,
-                        chunk_rows=chunk_rows,
+                        memory_budget_bytes=memory_budget_bytes,
                     )
                     folded[node] = natural_join(
                         folded[node], contribution, stats=stats,
-                        chunk_rows=chunk_rows,
                         memory_budget_bytes=memory_budget_bytes,
                     )
                 span.attrs["rows"] = folded[node].cardinality

@@ -43,12 +43,12 @@ subproblem containment (``C'' ⊆ C``) and the solver-arc covering test
 (``boundary ⊆ var(S)``) -- run either as the historical scalar big-int
 loops, or as whole-array :class:`~repro.core.maskmatrix.MaskMatrix` kernels
 (one broadcasted test per component / subproblem instead of a Python-level
-Ψ-length loop).  ``vectorized=None`` picks the matrix engine when numpy is
-available and the graph is big enough to amortise the array overhead; both
-engines produce **byte-identical** graphs (same node and arc ids, in the
-same canonical order), which the property tests pin, so the scalar engine
-doubles as the equivalence oracle and the numpy-free fallback -- the same
-contract as ``columnar=False`` in :mod:`repro.db`.
+Ψ-length loop).  ``vectorized=None`` picks the matrix engine when the
+graph is big enough to amortise the array overhead; both engines produce
+**byte-identical** graphs (same node and arc ids, in the same canonical
+order), which the property tests pin, so the scalar engine is the
+equivalence oracle -- the same contract as ``columnar=False`` in
+:mod:`repro.db`.
 
 **k-incremental construction.**  The canonical k-vertex enumeration is by
 size then lexicographic rank, so the k-vertices of bound ``k`` are a prefix
@@ -74,10 +74,7 @@ from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-try:  # The matrix engine needs numpy; the scalar engine is the fallback.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.maskmatrix import MaskMatrix
 from repro.decomposition.hypertree import DecompositionNode
@@ -177,10 +174,9 @@ class CandidatesGraph:
         The hypergraph and the width bound.
     vectorized:
         ``True`` forces the :class:`~repro.core.maskmatrix.MaskMatrix`
-        construction kernels (requires numpy), ``False`` the scalar big-int
-        loops; ``None`` (default) picks the matrix engine when numpy is
-        available and ``Ψ`` is large enough to amortise it.  Both engines
-        build byte-identical graphs.
+        construction kernels, ``False`` the scalar big-int loops; ``None``
+        (default) picks the matrix engine when ``Ψ`` is large enough to
+        amortise it.  Both engines build byte-identical graphs.
 
     Dense-id arrays (the algorithms' surface; ``q`` ranges over subproblem
     ids, ``i`` over candidate ids):
@@ -854,7 +850,7 @@ class CandidatesGraph:
         if self._cand_var is None:
             kv_vars = self._kv_vars
             index = self._cand_kv_index
-            if np is not None and isinstance(index, np.ndarray):
+            if isinstance(index, np.ndarray):
                 index = index.tolist()
             self._cand_var = [kv_vars[i] for i in index]
         return self._cand_var
@@ -867,10 +863,8 @@ class CandidatesGraph:
     ROOT_SUBPROBLEM_ID = 0
 
     def solver_id_arrays(self):
-        """Per-subproblem ``incoming(q)`` as numpy index arrays (``None``
-        without numpy); cached for reuse across evaluations of this graph."""
-        if np is None:
-            return None
+        """Per-subproblem ``incoming(q)`` as numpy index arrays; cached for
+        reuse across evaluations of this graph."""
         if self._solver_arrays is None:
             self._solver_arrays = [
                 np.asarray(solvers, dtype=np.int64) for solvers in self.sub_solvers
@@ -878,10 +872,8 @@ class CandidatesGraph:
         return self._solver_arrays
 
     def dependent_id_arrays(self):
-        """Per-subproblem ``outcoming(q)`` as numpy index arrays (``None``
-        without numpy); cached like :meth:`solver_id_arrays`."""
-        if np is None:
-            return None
+        """Per-subproblem ``outcoming(q)`` as numpy index arrays; cached like
+        :meth:`solver_id_arrays`."""
         if self._dependent_arrays is None:
             self._dependent_arrays = [
                 np.asarray(deps, dtype=np.int64) for deps in self.sub_dependents
@@ -1023,14 +1015,7 @@ def _resolve_vectorized(
     vectorized: Optional[bool], num_edges: int, k: int
 ) -> bool:
     if vectorized is None:
-        return np is not None and count_k_vertices(num_edges, k) >= (
-            _VECTORIZE_MIN_K_VERTICES
-        )
-    if vectorized and np is None:
-        raise DecompositionError(
-            "vectorized candidates-graph construction requires numpy; "
-            "pass vectorized=False (or None) for the scalar engine"
-        )
+        return count_k_vertices(num_edges, k) >= _VECTORIZE_MIN_K_VERTICES
     return bool(vectorized)
 
 

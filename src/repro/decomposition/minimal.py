@@ -33,10 +33,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # The vectorised evaluation fold needs numpy; scalar is the fallback.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.decomposition.candidates import (
     Candidate,
@@ -190,9 +187,9 @@ def evaluate_candidates_graph(
     numpy array reductions over ``weight_by_id`` -- identical float64
     operations in identical order, so the result is bit-equal to the
     scalar fold, which remains both the generic path (arbitrary semirings
-    and edge weights) and the numpy-free fallback.  ``vectorized`` forces
-    the choice (``True`` requires numpy); ``None`` picks the array fold
-    when it applies and the graph is large enough to amortise it.
+    and edge weights) and the oracle.  ``vectorized`` forces the choice;
+    ``None`` picks the array fold when it applies and the graph is large
+    enough to amortise it.
     """
     semiring = taf.semiring
     combine = semiring.combine
@@ -252,13 +249,8 @@ def evaluate_candidates_graph(
                 else [edge_child_part(view(i)) for i in range(num_candidates)]
             )
 
-    if vectorized and np is None:
-        raise DecompositionError(
-            "vectorized candidates-graph evaluation requires numpy"
-        )
     use_array_fold = (
-        np is not None
-        and separable
+        separable
         and semiring.ufunc_name in ("add", "maximum")
         and (
             vectorized

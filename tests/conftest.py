@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.db.database import Database
@@ -18,6 +21,18 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: a long-running end-to-end test (still tier-1)"
     )
+
+
+@pytest.fixture
+def src_env():
+    """The environment for a Python subprocess that must import this
+    checkout's ``repro``: ``src/`` prepended to ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 @pytest.fixture

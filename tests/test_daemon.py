@@ -35,12 +35,8 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -129,13 +125,9 @@ def _spawn_daemon(store, tmp_path, **options):
     ).start()
 
 
-def _cli_daemon(store, sock):
-    """``repro db daemon`` over ``store`` in a subprocess on ``sock``."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+def _cli_daemon(store, sock, env):
+    """``repro db daemon`` over ``store`` in a subprocess on ``sock``
+    (``env``: the ``src_env`` fixture)."""
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "db", "daemon", str(store),
@@ -465,8 +457,11 @@ class TestConnectionFaultMatrix:
                             "never released its budget"
                         )
                         time.sleep(0.1)
+                # The pool runs the request under the slice it admitted,
+                # so the oracle runs under the same budget
+                # (peak_transient_elements depends on it).
                 assert strip_provenance(response) == execute_payload(
-                    payload, serial_db
+                    dict(payload, memory_budget_bytes=slice_bytes), serial_db
                 )
                 health = healthy.health()
             assert health["counters"]["abandoned_requests"] >= 1
@@ -646,12 +641,14 @@ class TestDrain:
             closer.join(timeout=30)
         assert code["exit"] == 0
 
-    def test_cli_daemon_sigterm_drains(self, store, tmp_path, serial_db):
+    def test_cli_daemon_sigterm_drains(
+        self, store, tmp_path, serial_db, src_env
+    ):
         """The real thing: ``repro db daemon`` in a subprocess, killed
         with SIGTERM mid-flight, must drain, exit 0, unlink its socket
         and leave no orphan worker processes."""
         sock = tmp_path / "cli.sock"
-        process = _cli_daemon(store, sock)
+        process = _cli_daemon(store, sock, src_env)
         try:
             assert "listening" in process.stdout.readline()
             payload = _payload()
@@ -672,12 +669,46 @@ class TestDrain:
                 process.kill()
                 process.wait(timeout=10)
 
-    def test_cli_daemon_sigterm_right_after_first_health(self, store, tmp_path):
+    def test_sigterm_while_main_thread_holds_stop_lock_drains(
+        self, store, tmp_path, src_env
+    ):
+        """The signal handler must not take a lock.  Python runs it in the
+        main thread between two bytecodes; serve_forever's polling wait
+        spends most of its life holding the stop event's non-reentrant
+        lock, so a handler that set the event itself would deadlock.  The
+        subprocess delivers SIGTERM exactly there and must still drain."""
+        script = (
+            "import os, signal, sys\n"
+            "from repro.db.daemon import ServingDaemon\n"
+            "daemon = ServingDaemon(sys.argv[1], 'unix:' + sys.argv[2],\n"
+            "                       workers=1).start(handle_signals=True)\n"
+            "with daemon._stop_event._cond:\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "sys.exit(daemon.serve_forever())\n"
+        )
+        sock = tmp_path / "locked.sock"
+        process = subprocess.Popen(
+            [sys.executable, "-c", script, str(store), str(sock)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=src_env,
+        )
+        try:
+            assert process.wait(timeout=60) == 0
+            assert not sock.exists()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+
+    def test_cli_daemon_sigterm_right_after_first_health(
+        self, store, tmp_path, src_env
+    ):
         """SIGTERM the moment the daemon first answers ``health`` -- before
         the readiness line is even read -- must still drain: the signal
         handlers are in place before the listener binds."""
         sock = tmp_path / "early.sock"
-        process = _cli_daemon(store, sock)
+        process = _cli_daemon(store, sock, src_env)
         try:
             deadline = time.monotonic() + 60
             while True:

@@ -9,9 +9,6 @@ engines side by side.
 """
 
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

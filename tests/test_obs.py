@@ -20,9 +20,6 @@ import threading
 from collections import Counter
 
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

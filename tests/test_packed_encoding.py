@@ -4,8 +4,8 @@ Four invariants are pinned here:
 
 * **Codec round trips.**  ``pack_ids``/``unpack_ids`` are exact inverses at
   every bit-width boundary (1/8/9/32/33 bits), for negative references,
-  empty and single-value columns -- and the numpy and numpy-free encoders
-  produce byte-identical payloads.
+  empty and single-value columns -- and the array and list (row-engine)
+  encoders produce byte-identical payloads.
 * **Packed == raw oracle.**  A database saved under ``encoding="packed"``
   answers every plan byte-identically (rows, order, ``OperatorStats``) to
   the same database saved raw -- serially, on the row engine, and under
@@ -15,27 +15,25 @@ Four invariants are pinned here:
   ``"encoding"`` metadata, raw ``.i64`` files) still opens on both engines,
   and a ``cached_database`` entry at a stale format version is regenerated
   in place, not reused.
-* **Adaptive morsel sizing.**  ``memory_budget_bytes`` (and the auto-chunk
-  environment knobs) bound the join's transient footprint without changing
-  a single output byte, and packed/raw runs chunk identically.
+* **Adaptive morsel sizing.**  ``memory_budget_bytes`` (and, with no
+  budget, the auto-chunk threshold) bounds the join's transient footprint
+  without changing a single output byte, and packed/raw runs chunk
+  identically.
 """
 
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.db.algebra import OperatorStats
+from repro.db import columnar
 from repro.db.columnar import (
-    AUTO_CHUNK_BUDGET_ENV,
-    AUTO_CHUNK_MIN_EMIT_ENV,
     ColumnarRelation,
     columnar_natural_join,
     columnar_project,
@@ -229,7 +227,7 @@ class TestCodecProperties:
         mode=st.sampled_from(["packed", "raw"]),
     )
     def test_round_trip_and_encoder_parity(self, ids, mode):
-        # The numpy and numpy-free encoders agree byte for byte, and
+        # The array and list (row-engine) encoders agree byte for byte, and
         # unpack inverts pack exactly.
         list_payload, list_meta = pack_ids(list(ids), mode=mode)
         np_payload, np_meta = pack_ids(np.array(ids, dtype=np.int64), mode=mode)
@@ -699,43 +697,36 @@ class TestAdaptiveMorsels:
             columnar_project(oracle, ["k"], distinct=True).rows
         )
 
-    def test_auto_chunk_env_knobs(self, monkeypatch):
+    def test_auto_chunk_past_min_emit(self, monkeypatch):
+        # With no budget the join stays single-batch below the auto-chunk
+        # threshold and chunks against the default budget at or above it.
         left, right = _skewed_pair(pack=False)
-        monkeypatch.delenv(AUTO_CHUNK_MIN_EMIT_ENV, raising=False)
-        monkeypatch.delenv(AUTO_CHUNK_BUDGET_ENV, raising=False)
         oracle_stats = OperatorStats()
         oracle = columnar_natural_join(left, right, stats=oracle_stats)
+        assert oracle.cardinality < columnar._AUTO_CHUNK_MIN_EMIT
 
-        # Force auto-chunking on: any emit count triggers a small budget.
-        monkeypatch.setenv(AUTO_CHUNK_MIN_EMIT_ENV, "1")
-        monkeypatch.setenv(AUTO_CHUNK_BUDGET_ENV, str(32 * 1024))
+        monkeypatch.setattr(columnar, "_AUTO_CHUNK_MIN_EMIT", oracle.cardinality)
+        monkeypatch.setattr(columnar, "_AUTO_CHUNK_BUDGET_BYTES", 32 * 1024)
         auto_stats = OperatorStats()
         auto = columnar_natural_join(left, right, stats=auto_stats)
         assert auto.rows == oracle.rows
         assert auto_stats.snapshot() == oracle_stats.snapshot()
+        assert auto_stats.peak_transient_elements <= 32 * 1024 // 8
         assert (
             auto_stats.peak_transient_elements
             < oracle_stats.peak_transient_elements
         )
 
-        # The kill switch (<= 0) disables auto-chunking entirely.
-        monkeypatch.setenv(AUTO_CHUNK_MIN_EMIT_ENV, "0")
+        # One emitted row short of the threshold: no chunking.
+        monkeypatch.setattr(
+            columnar, "_AUTO_CHUNK_MIN_EMIT", oracle.cardinality + 1
+        )
         off_stats = OperatorStats()
-        off = columnar_natural_join(left, right, stats=off_stats)
-        assert off.rows == oracle.rows
+        columnar_natural_join(left, right, stats=off_stats)
         assert (
             off_stats.peak_transient_elements
             == oracle_stats.peak_transient_elements
         )
-
-    def test_explicit_chunk_rows_path_unchanged(self):
-        # The legacy fixed-size morsel path (explicit chunk_rows) must keep
-        # producing the oracle output -- it is pinned independently of the
-        # adaptive path.
-        left, right = _skewed_pair(pack=False)
-        oracle = columnar_natural_join(left, right)
-        chunked = columnar_natural_join(left, right, chunk_rows=37)
-        assert chunked.rows == oracle.rows
 
 
 # ----------------------------------------------------------------------

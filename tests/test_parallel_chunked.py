@@ -2,11 +2,14 @@
 
 Two invariants, each pinned against its oracle:
 
-* **chunked vs unchunked kernels** -- ``columnar_natural_join``,
-  ``columnar_semijoin`` and project-distinct with any ``chunk_rows`` must
-  produce byte-identical output (values *and* row order), byte-identical
-  ``OperatorStats`` and the identical evaluation-budget stop behaviour as
-  the single-batch kernels;
+* **budgeted vs unbounded kernels** -- ``columnar_natural_join``,
+  ``columnar_semijoin`` and project-distinct under any
+  ``memory_budget_bytes`` must produce byte-identical output (values *and*
+  row order), byte-identical ``OperatorStats`` work counters and the
+  identical evaluation-budget stop behaviour as the single-batch kernels;
+  the inputs are larger than the 32-row morsel floor, and the tests check
+  through ``peak_transient_elements`` and the kernels' span notes that
+  the morsel boundaries really are crossed;
 * **parallel vs serial ``execute_plan``** -- any ``threads``/
   ``memory_budget_bytes`` combination must return byte-identical answers
   and counters as the serial unbounded run, and must raise
@@ -19,17 +22,17 @@ exactly at a morsel boundary, mid-morsel, on the first morsel, and with an
 all-matching key column) and the degenerate fast paths.
 """
 
+import math
+from unittest import mock
+
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import columnar as columnar_kernels
 from repro.db.algebra import (
     EvaluationBudgetExceeded,
     OperatorStats,
-    chunk_rows_for_budget,
     natural_join,
     project,
     semijoin,
@@ -39,18 +42,33 @@ from repro.db.database import Database
 from repro.db.dictionary import Dictionary
 from repro.db.relation import Relation
 from repro.db.scheduler import TaskScheduler
+from repro.obs.trace import TraceRecorder
 from repro.query.conjunctive import build_query
 from repro.workloads.synthetic import workload_database
 
 VALUES = st.sampled_from([0, 1, 2, 3, "a", "b"])
-CHUNKS = st.sampled_from([1, 2, 3, 7, 64])
+#: Memory budgets whose probe/filter/key-pack morsels (32, 32, 40 and 64
+#: rows) are all smaller than the chunked side of every generated input.
+BUDGETS = st.sampled_from([1, 4_096, 5_120, 8_192])
+#: The chunked side's size: always past the largest morsel above.
+CHUNKED_ROWS = 65
 
 
-def relation_strategy(attributes, max_size=25):
+def morsel_rows(budget):
+    """The budget -> morsel rule, restated as the tests' oracle."""
+    return max(32, budget // 128)
+
+
+def relation_strategy(attributes, min_size=1, max_size=100):
     arity = len(attributes)
     return st.lists(
-        st.tuples(*([VALUES] * arity)), min_size=0, max_size=max_size
+        st.tuples(*([VALUES] * arity)), min_size=min_size, max_size=max_size
     ).map(lambda rows: ("R", tuple(attributes), rows))
+
+
+def chunked_strategy(attributes):
+    """A relation longer than any morsel ``BUDGETS`` gives."""
+    return relation_strategy(attributes, min_size=CHUNKED_ROWS)
 
 
 def columnar(spec, dictionary):
@@ -66,80 +84,157 @@ def assert_identical(unchunked, chunked):
     assert chunked.rows == unchunked.rows
 
 
+def traced(kernel, *args, **kwargs):
+    """Run one kernel inside a trace span; returns its result and the
+    morsel counters the kernel noted on that span."""
+    recorder = TraceRecorder()
+    with recorder.span("kernel", "test") as span:
+        result = kernel(*args, **kwargs)
+    return result, dict(span.attrs)
+
+
+def shift_packed(kernel, *args, **kwargs):
+    """Run one kernel with ``_shift_pack`` spied on; returns its result and
+    the ``(rows, morsel)`` of every multi-column key pack it ran."""
+    calls = []
+    real = columnar_kernels._shift_pack
+
+    def spy(columns, width, morsel=None, total_bits=None):
+        calls.append((columns[0].shape[0], morsel))
+        return real(columns, width, morsel, total_bits)
+
+    with mock.patch.object(columnar_kernels, "_shift_pack", spy):
+        result = kernel(*args, **kwargs)
+    return result, calls
+
+
+def assert_join_chunked(notes, stats, lc, rc, budget):
+    """The join probed its larger side in budget-sized morsels, and its
+    emit chunks kept the transient footprint within the budget (one probe
+    row's matches are the smallest unit it can emit)."""
+    morsel = morsel_rows(budget)
+    probe_card = max(lc.cardinality, rc.cardinality)
+    assert probe_card > morsel
+    assert notes["probe_morsels"] == math.ceil(probe_card / morsel)
+    budget_words = max(budget // 8, 512)
+    one_row = 5 * min(lc.cardinality, rc.cardinality) + 3
+    assert stats.peak_transient_elements <= max(budget_words, one_row)
+
+
 class TestChunkedKernelEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
-        left=relation_strategy(["x", "y"]),
+        left=chunked_strategy(["x", "y"]),
         right=relation_strategy(["y", "z"]),
-        chunk=CHUNKS,
+        swap=st.booleans(),
+        budget=BUDGETS,
     )
-    def test_chunked_join_is_byte_identical(self, left, right, chunk):
+    def test_chunked_join_is_byte_identical(self, left, right, swap, budget):
+        if swap:  # the chunked (probe) side on either input
+            left, right = right, left
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
         base_stats, chunk_stats = OperatorStats(), OperatorStats()
         base = natural_join(lc, rc, stats=base_stats)
-        chunked = natural_join(lc, rc, stats=chunk_stats, chunk_rows=chunk)
+        chunked, notes = traced(
+            natural_join, lc, rc, stats=chunk_stats, memory_budget_bytes=budget
+        )
         assert_identical(base, chunked)
         assert base_stats.snapshot() == chunk_stats.snapshot()
         assert base_stats.operations == chunk_stats.operations
+        assert_join_chunked(notes, chunk_stats, lc, rc, budget)
 
     @settings(max_examples=40, deadline=None)
     @given(
-        left=relation_strategy(["x", "y", "z"]),
+        left=chunked_strategy(["x", "y", "z"]),
         right=relation_strategy(["y", "z", "w"]),
-        chunk=CHUNKS,
+        swap=st.booleans(),
+        budget=BUDGETS,
     )
-    def test_chunked_multi_key_join_is_byte_identical(self, left, right, chunk):
+    def test_chunked_multi_key_join_is_byte_identical(
+        self, left, right, swap, budget
+    ):
         # Multi-attribute keys exercise the chunked shift-pack builder.
+        if swap:
+            left, right = right, left
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
         base = natural_join(lc, rc)
-        chunked = natural_join(lc, rc, chunk_rows=chunk)
+        stats = OperatorStats()
+        (chunked, notes), packs = shift_packed(
+            traced, natural_join, lc, rc, stats=stats, memory_budget_bytes=budget
+        )
         assert_identical(base, chunked)
+        assert_join_chunked(notes, stats, lc, rc, budget)
+        morsel = morsel_rows(budget)
+        # Both sides' keys were packed under the budget's morsel, the
+        # larger side across morsel boundaries.
+        assert sorted(packs) == sorted(
+            [(lc.cardinality, morsel), (rc.cardinality, morsel)]
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(
-        left=relation_strategy(["x", "y"]),
+        left=chunked_strategy(["x", "y"]),
         right=relation_strategy(["y", "z"]),
+        swap=st.booleans(),
         keep=st.sets(st.sampled_from(["x", "y", "z"])),
-        chunk=CHUNKS,
+        budget=BUDGETS,
     )
     def test_chunked_join_with_pushdown_is_byte_identical(
-        self, left, right, keep, chunk
+        self, left, right, swap, keep, budget
     ):
+        if swap:
+            left, right = right, left
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
         base = natural_join(lc, rc, keep=keep)
-        chunked = natural_join(lc, rc, keep=keep, chunk_rows=chunk)
+        stats = OperatorStats()
+        chunked, notes = traced(
+            natural_join, lc, rc, keep=keep, stats=stats, memory_budget_bytes=budget
+        )
         assert_identical(base, chunked)
+        assert_join_chunked(notes, stats, lc, rc, budget)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        left=relation_strategy(["x", "y"]),
+        left=chunked_strategy(["x", "y"]),
         right=relation_strategy(["y", "z"]),
-        chunk=CHUNKS,
+        budget=BUDGETS,
     )
-    def test_chunked_semijoin_is_byte_identical(self, left, right, chunk):
+    def test_chunked_semijoin_is_byte_identical(self, left, right, budget):
         dictionary = Dictionary()
         lc, rc = columnar(left, dictionary), columnar(right, dictionary)
         base_stats, chunk_stats = OperatorStats(), OperatorStats()
         base = semijoin(lc, rc, stats=base_stats)
-        chunked = semijoin(lc, rc, stats=chunk_stats, chunk_rows=chunk)
+        chunked, notes = traced(
+            semijoin, lc, rc, stats=chunk_stats, memory_budget_bytes=budget
+        )
         assert_identical(base, chunked)
         assert base_stats.snapshot() == chunk_stats.snapshot()
+        morsel = morsel_rows(budget)
+        assert lc.cardinality > morsel
+        assert notes["filter_morsels"] == math.ceil(lc.cardinality / morsel)
+        assert chunk_stats.peak_transient_elements == rc.cardinality + 4 * morsel
 
     @settings(max_examples=40, deadline=None)
     @given(
-        relation=relation_strategy(["x", "y", "z"]),
-        chunk=CHUNKS,
+        relation=chunked_strategy(["x", "y", "z"]),
+        budget=BUDGETS,
         distinct=st.booleans(),
     )
-    def test_chunked_project_is_byte_identical(self, relation, chunk, distinct):
+    def test_chunked_project_is_byte_identical(self, relation, budget, distinct):
         dictionary = Dictionary()
         rc = columnar(relation, dictionary)
         base = project(rc, ["x", "z"], distinct=distinct)
-        chunked = project(rc, ["x", "z"], distinct=distinct, chunk_rows=chunk)
+        chunked, packs = shift_packed(
+            project, rc, ["x", "z"], distinct=distinct, memory_budget_bytes=budget
+        )
         assert_identical(base, chunked)
+        # Only project-distinct builds keys: across morsel boundaries.
+        assert rc.cardinality > morsel_rows(budget)
+        expected = [(rc.cardinality, morsel_rows(budget))] if distinct else []
+        assert packs == expected
 
     def test_semijoin_against_distinct_build_side(self):
         # The project-distinct output is flagged duplicate-free, which picks
@@ -176,8 +271,13 @@ class TestChunkedKernelEquivalence:
         right = columnar(("r", ("k", "b"), rows), dictionary)
         unbounded, bounded = OperatorStats(), OperatorStats()
         base = natural_join(left, right, stats=unbounded)
-        chunked = natural_join(left, right, stats=bounded, chunk_rows=128)
+        chunked, notes = traced(
+            natural_join, left, right, stats=bounded, memory_budget_bytes=16_384
+        )
         assert_identical(base, chunked)
+        assert notes["probe_morsels"] == math.ceil(600 / 128)
+        assert notes["emit_morsels"] > 1
+        assert bounded.peak_transient_elements <= 16_384 // 8
         assert bounded.peak_transient_elements * 4 < unbounded.peak_transient_elements
 
 
@@ -187,8 +287,13 @@ class TestChunkedBudgetStops:
     (the exact would-be total, computed before materialising), and nothing
     recorded on abort."""
 
+    #: 32-row probe morsels; the join's adaptive emit chunks then get the
+    #: 512-word floor, 18 probe rows (90 emitted rows) each at 5 matches
+    #: per probe row.
+    MEMORY_BUDGET = 1
+
     @staticmethod
-    def _blowup(probe_rows=12, matches_each=5):
+    def _blowup(probe_rows=100, matches_each=5):
         # Every probe row matches `matches_each` build rows; build side is
         # smaller so the larger side is chunked.  reads = probe + build,
         # emitted = probe * matches_each.
@@ -203,54 +308,61 @@ class TestChunkedBudgetStops:
         emitted = probe_rows * matches_each
         return build, probe, reads, emitted
 
-    def _assert_same_stop(self, budget, chunk_rows, probe_rows=12, matches_each=5):
+    def _assert_same_stop(self, budget, probe_rows=100, matches_each=5):
         build, probe, reads, emitted = self._blowup(probe_rows, matches_each)
         outcomes = []
-        for chunk in (None, chunk_rows):
+        peaks = []
+        for memory_budget in (None, self.MEMORY_BUDGET):
             stats = OperatorStats(budget=budget)
             try:
-                result = natural_join(build, probe, stats=stats, chunk_rows=chunk)
+                result = natural_join(
+                    build, probe, stats=stats, memory_budget_bytes=memory_budget
+                )
                 outcomes.append(("ok", result.rows, stats.snapshot()))
+                peaks.append(stats.peak_transient_elements)
             except EvaluationBudgetExceeded as exc:
                 outcomes.append(("raise", exc.work_so_far, stats.snapshot()))
                 # Aborted before materialising: nothing recorded.
                 assert stats.total_work == 0
         assert outcomes[0] == outcomes[1]
+        if peaks:
+            # The budgeted run really was chunked.
+            assert peaks[1] <= 512 < peaks[0]
         return outcomes[0][0]
 
     def test_budget_hit_exactly_at_morsel_boundary(self):
         build, probe, reads, emitted = self._blowup()
-        # chunk_rows=4 over 12 probe rows: morsel boundaries at emit 20/40/60.
-        # A budget of exactly reads + 20 is crossed (total is reads+60).
-        assert self._assert_same_stop(reads + 20, chunk_rows=4) == "raise"
+        # 32-row probe morsels over 100 probe rows end at emit 160/320/480;
+        # the first adaptive emit chunk ends at emit 90.  A budget of
+        # exactly either boundary is crossed (the total is reads + 500).
+        assert self._assert_same_stop(reads + 160) == "raise"
+        assert self._assert_same_stop(reads + 90) == "raise"
 
     def test_budget_hit_mid_morsel(self):
         build, probe, reads, emitted = self._blowup()
-        assert self._assert_same_stop(reads + 33, chunk_rows=4) == "raise"
+        assert self._assert_same_stop(reads + 133) == "raise"
 
     def test_budget_hit_on_first_morsel(self):
         build, probe, reads, emitted = self._blowup()
-        assert self._assert_same_stop(reads + 1, chunk_rows=4) == "raise"
+        assert self._assert_same_stop(reads + 1) == "raise"
 
     def test_budget_exactly_sufficient_is_not_hit(self):
         build, probe, reads, emitted = self._blowup()
         # record() raises only when total_work *exceeds* the budget.
-        assert self._assert_same_stop(reads + emitted, chunk_rows=4) == "ok"
+        assert self._assert_same_stop(reads + emitted) == "ok"
 
     def test_all_matching_key_column(self):
         # Every key matches every build row: the densest possible counts
         # array; chunked and unchunked must agree on the abort.
-        build, probe, reads, emitted = self._blowup(probe_rows=30, matches_each=30)
+        build, probe, reads, emitted = self._blowup(probe_rows=40, matches_each=40)
         assert (
             self._assert_same_stop(
-                reads + emitted - 1, chunk_rows=1, probe_rows=30, matches_each=30
+                reads + emitted - 1, probe_rows=40, matches_each=40
             )
             == "raise"
         )
         assert (
-            self._assert_same_stop(
-                reads + emitted, chunk_rows=1, probe_rows=30, matches_each=30
-            )
+            self._assert_same_stop(reads + emitted, probe_rows=40, matches_each=40)
             == "ok"
         )
 
@@ -368,11 +480,14 @@ class TestKnobsAndScheduler:
         assert database.threads == 2
         assert database.memory_budget_bytes == 1_000
 
-    def test_chunk_rows_for_budget(self):
-        assert chunk_rows_for_budget(None) is None
-        assert chunk_rows_for_budget(0) is None  # 0 disables, as on Database
-        assert chunk_rows_for_budget(1 << 20) == (1 << 20) // 128
-        assert chunk_rows_for_budget(1) == 32  # floor
+    def test_morsel_rows_for_budget(self):
+        morsel_rows_of = columnar_kernels._morsel_rows
+        assert morsel_rows_of(None) is None
+        assert morsel_rows_of(0) is None  # 0 disables, as on Database
+        assert morsel_rows_of(-1) is None
+        assert morsel_rows_of(1 << 20) == (1 << 20) // 128
+        assert morsel_rows_of(1) == 32  # floor
+        assert morsel_rows_of(5_120) == morsel_rows(5_120) == 40
 
     def test_scheduler_respects_dependencies(self):
         order = []

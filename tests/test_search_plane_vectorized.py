@@ -3,13 +3,13 @@ oracle.
 
 This PR's mask-matrix kernels re-run three things on whole numpy arrays --
 candidates-graph construction, k-incremental extension, and the evaluation
-fold -- while the historical scalar loops stay in place as the oracle (and
-the numpy-free fallback).  These tests pin the vectorised paths to the
-scalar ones on random hypergraphs:
+fold -- while the historical scalar loops stay in place as the oracle.
+These tests pin the vectorised paths to the scalar ones on random
+hypergraphs:
 
-* :class:`~repro.core.maskmatrix.MaskMatrix` against
-  :class:`~repro.core.maskmatrix.ScalarMaskMatrix` (including masks wider
-  than one 64-bit word);
+* :class:`~repro.core.maskmatrix.MaskMatrix` against the one-line
+  big-int definitions of its four queries (including masks wider than one
+  64-bit word);
 * ``CandidatesGraph(vectorized=True)`` against ``vectorized=False``:
   byte-identical nodes, arcs, orders and ``size_report()``;
 * ``extend_to(k + 1)`` against a fresh construction at ``k + 1`` (both
@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.maskmatrix import MaskMatrix, ScalarMaskMatrix, nonzero_indices
+from repro.core.maskmatrix import MaskMatrix
 from repro.decomposition.candidates import (
     CandidatesGraph,
     CandidatesGraphFamily,
@@ -55,8 +56,6 @@ from repro.weights.library import (
 from repro.weights.querycost import QueryCostTAF
 from repro.workloads.paper_queries import fig5_statistics
 from repro.query.examples import q1
-
-np = pytest.importorskip("numpy")
 
 
 small_hypergraph_strategy = st.builds(
@@ -86,8 +85,18 @@ def graph_snapshot(graph: CandidatesGraph):
 
 
 # ----------------------------------------------------------------------
-# MaskMatrix vs ScalarMaskMatrix
+# MaskMatrix vs its scalar definitions
 # ----------------------------------------------------------------------
+#: The scalar twin of every MaskMatrix query: one big-int expression per
+#: row, the oracle the broadcasted word kernels are pinned against.
+SCALAR_QUERIES = {
+    "intersects": lambda m, mask: bool(m & mask),
+    "subset_of": lambda m, mask: not (m & ~mask),
+    "covers": lambda m, mask: not (mask & ~m),
+    "intersections": lambda m, mask: m & mask,
+}
+
+
 class TestMaskMatrix:
     @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -99,21 +108,21 @@ class TestMaskMatrix:
         masks = [rng.getrandbits(num_bits) for _ in range(rng.randint(0, 20))]
         probe = rng.getrandbits(num_bits)
         dense = MaskMatrix(masks, num_bits)
-        scalar = ScalarMaskMatrix(masks, num_bits)
-        assert len(dense) == len(scalar) == len(masks)
-        assert dense.tolist() == scalar.tolist() == masks
-        for method in ("intersects", "subset_of", "covers", "intersections"):
-            assert list(getattr(dense, method)(probe)) == list(
-                getattr(scalar, method)(probe)
-            ), method
+        assert len(dense) == len(masks)
+        assert dense.tolist() == masks
+        for method, scalar in SCALAR_QUERIES.items():
+            assert list(getattr(dense, method)(probe)) == [
+                scalar(m, probe) for m in masks
+            ], method
         rows = [i for i in range(len(masks)) if rng.random() < 0.5]
         for method in ("intersects", "subset_of", "covers"):
-            assert list(getattr(dense, method)(probe, rows)) == list(
-                getattr(scalar, method)(probe, rows)
-            ), method
-        assert nonzero_indices(dense.covers(probe)) == nonzero_indices(
-            scalar.covers(probe)
-        )
+            scalar = SCALAR_QUERIES[method]
+            assert list(getattr(dense, method)(probe, rows)) == [
+                scalar(masks[r], probe) for r in rows
+            ], method
+        assert np.flatnonzero(dense.covers(probe)).tolist() == [
+            i for i, m in enumerate(masks) if SCALAR_QUERIES["covers"](m, probe)
+        ]
 
     def test_semantics_against_definitions(self):
         masks = [0b1010, 0b0110, 0, 0b1111]

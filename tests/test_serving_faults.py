@@ -28,12 +28,11 @@ re-runs this module under ``REPRO_SERVE_MP_CONTEXT=spawn``.
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -316,6 +315,60 @@ class TestSupervisorRestart:
         assert [strip_provenance(r) for r in responses] == oracle
 
 
+def _pid_gone(pid):
+    """True once ``pid`` has exited: no such process, or a zombie waiting
+    for a reaper that may never call ``wait()``."""
+    if os.path.isdir("/proc/self"):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+        except FileNotFoundError:
+            return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestSupervisorDeath:
+    def test_workers_exit_when_supervisor_is_killed(self, store, src_env):
+        """A worker blocks on its request queue, whose write end it holds
+        itself, so EOF never comes: it must notice its supervisor died
+        (re-parenting) and exit instead of living on as an orphan."""
+        script = (
+            "import sys, time\n"
+            "from repro.db.serving import ServingPool\n"
+            "pool = ServingPool(sys.argv[1], workers=2)\n"
+            "print(*(r['pid'] for r in pool.worker_reports.values()),\n"
+            "      flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", script, str(store)],
+            stdout=subprocess.PIPE,
+            env=src_env,
+            text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in process.stdout.readline().split()]
+            assert len(pids) == 2
+            process.send_signal(signal.SIGKILL)
+            process.wait(timeout=10)
+            deadline = time.monotonic() + 10.0
+            while not all(_pid_gone(pid) for pid in pids):
+                assert time.monotonic() < deadline, "orphaned workers lived on"
+                time.sleep(0.05)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            process.stdout.close()
+            for pid in pids:
+                if not _pid_gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+
 class TestInjectedRaise:
     def test_raise_fault_errors_one_request_only(self, store, serial_db):
         payloads = [_payload() for _ in range(4)]
@@ -430,7 +483,12 @@ class TestCollectTimeoutPoisoning:
             follow_up = _payload()
             verdict = pool.collect(pool.submit(follow_up), timeout=60.0)
             assert pool.restarts == 0
-        assert strip_provenance(verdict) == execute_payload(follow_up, serial_db)
+        # The pool runs the request under the slice it admitted, so the
+        # oracle runs under the same budget (peak_transient_elements
+        # depends on it), whatever REPRO_DB_MEMORY_BUDGET_BYTES says.
+        assert strip_provenance(verdict) == execute_payload(
+            dict(follow_up, memory_budget_bytes=slice_bytes), serial_db
+        )
 
     def test_expired_request_cannot_be_collected_again(self, store):
         with ServingPool(

@@ -3,7 +3,7 @@
 The storage invariant: a database round-tripped through
 ``save_database``/``open_database`` yields **byte-identical** query
 answers, row order and ``OperatorStats`` to the in-memory original --
-under the mmap'd columnar engine, under the numpy-free row decode
+under the mmap'd columnar engine, under the row-engine decode
 (``columnar=False``), and under the parallel, memory-bounded execution
 plane (``threads=4`` plus a small budget).  Hypothesis drives randomised
 schemas/values through the round trip; dedicated tests pin the dictionary
@@ -19,9 +19,6 @@ import tempfile
 from pathlib import Path
 
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
